@@ -9,6 +9,8 @@
 // reproduction targets; EXPERIMENTS.md records both sides.
 #pragma once
 
+#include <sched.h>
+
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,6 +22,42 @@
 #include "util/csv.h"
 
 namespace rovista::bench {
+
+/// The "host" object every BENCH_*.json carries: CPUs this process may
+/// run on, compiler, CMake build type, and the git revision of the
+/// working directory the bench runs in, suffixed "-dirty" when it has
+/// uncommitted changes ("unknown" outside a checkout).
+inline std::string host_json() {
+  cpu_set_t cpus;
+  const int nproc =
+      sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 0;
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+#ifdef ROVISTA_BUILD_TYPE
+  const std::string build_type = ROVISTA_BUILD_TYPE;
+#else
+  const std::string build_type = "unknown";
+#endif
+  std::string git_rev = "unknown";
+  std::FILE* git =
+      popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r");
+  if (git != nullptr) {
+    char line[96] = {0};
+    if (std::fgets(line, sizeof line, git) != nullptr) {
+      git_rev = line;
+      while (!git_rev.empty() && git_rev.back() == '\n') git_rev.pop_back();
+    }
+    pclose(git);
+  }
+  return "{\"nproc\": " + std::to_string(nproc) + ", \"compiler\": \"" +
+         compiler + "\", \"build_type\": \"" + build_type +
+         "\", \"git_rev\": \"" + git_rev + "\"}";
+}
 
 inline scenario::ScenarioParams bench_params(std::uint64_t seed = 42) {
   scenario::ScenarioParams params;

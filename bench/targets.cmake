@@ -2,6 +2,9 @@ function(rovista_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   set_target_properties(${name} PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR})
+  # Recorded in the "host" block of the BENCH_*.json files.
+  target_compile_definitions(${name} PRIVATE
+    ROVISTA_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
   target_link_libraries(${name} PRIVATE
     rovista_validation rovista_bgpstream rovista_incremental
     rovista_snapshot rovista_scenario rovista_faults rovista_core

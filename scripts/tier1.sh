@@ -48,7 +48,13 @@
 #      `rovista analyze --publish` straight off the archive, byte-diffed
 #      against the CSVs the in-memory store published during the run;
 #      plus bench_analytics --smoke under a wall-clock ceiling with its
-#      streaming-vs-store identity gates green ("ok": true).
+#      streaming-vs-store identity gates green ("ok": true),
+#  13. CLI refusals: `loadgen --reach-fraction` above 0 without
+#      --reach-dst exits 2 with a one-line error (stage 1b),
+#  14. steady-state daily series: 300 daily rounds on the small world
+#      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
+#      and its first 60 rounds' published CSVs byte-identical to the
+#      same 60 rounds under --incremental off.
 #
 # Every stage runs under its own timeout and the script fails fast: the
 # first stage to fail (or hang past its budget) stops the run with a
@@ -105,6 +111,18 @@ while IFS= read -r sec; do
 done < "$DOCS_TMP/refs.txt"
 if [ "$missing" -ne 0 ]; then
   echo "docs drifted from the built CLI / format specs" >&2
+  exit 1
+fi
+
+stage "CLI refusals (loadgen REACH share without a destination)"
+# Refused before any connection is attempted, so no server is needed.
+status=0
+build/tools/rovista loadgen --port 9 --reach-fraction 0.1 \
+  > /dev/null 2> "$DOCS_TMP/refusal.txt" || status=$?
+if [ "$status" -ne 2 ] || [ "$(wc -l < "$DOCS_TMP/refusal.txt")" -ne 1 ]; then
+  echo "loadgen --reach-fraction without --reach-dst: exit $status," \
+       "want 2 with a one-line error" >&2
+  cat "$DOCS_TMP/refusal.txt" >&2 || true
   exit 1
 fi
 
@@ -215,6 +233,39 @@ t 300 "$ACLI" feedcheck --record "$SERVE_DIR/burst1.csv" \
   --published "$SERVE_DIR/pub" >/dev/null
 t 300 "$ACLI" feedcheck --record "$SERVE_DIR/burst2.csv" \
   --published "$SERVE_DIR/pub" >/dev/null
+
+# Demand-warmed epochs: a steady-state daily round re-converges only
+# the prefixes its day erased, so 300 rounds with checkpoint and archive
+# writes fit a 10 s ceiling (when every publish re-converged every
+# prefix they took 14-20 s on a 4-core host). The fast path may not
+# change a byte: its first 60 rounds must publish what a full recompute
+# publishes.
+stage "steady-state daily series (wall-clock ceiling + full-recompute byte-diff)"
+SS="$CK_TMP/steady"
+t0="$(date +%s%N)"
+t 120 "$CLI" longitudinal --scale small --seed 3 --rounds 300 \
+  --interval-days 1 --threads 4 --checkpoint-dir "$SS/ck" \
+  --archive "$SS/archive" --publish "$SS/incr" >/dev/null
+ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+if [ "$ms" -gt 10000 ]; then
+  echo "300-round daily series took ${ms} ms (ceiling 10000 ms)" >&2
+  exit 1
+fi
+t 600 "$CLI" longitudinal --scale small --seed 3 --rounds 60 \
+  --interval-days 1 --threads 4 --incremental off \
+  --publish "$SS/full" >/dev/null
+full_rounds=0
+for f in "$SS/full"/scores-*.csv; do
+  cmp -s "$f" "$SS/incr/$(basename "$f")" || {
+    echo "steady-state series diverged from full recompute on $(basename "$f")" >&2
+    exit 1
+  }
+  full_rounds=$((full_rounds + 1))
+done
+if [ "$full_rounds" -ne 60 ]; then
+  echo "full-recompute series published $full_rounds rounds, want 60" >&2
+  exit 1
+fi
 
 stage "crash/resume byte-diff"
 # `|| status=$?` (not `set +e`) — the ERR trap fires even with -e off,
@@ -381,4 +432,5 @@ echo "tier-1 OK (tests + docs consistency + bench_scale smoke" \
      "+ ASan/UBSan incremental + checkpoint corruption battery" \
      "+ ASan fault soak + crash/resume byte-diff + SLURM byte-diff" \
      "+ fault byte-diff + engine-equivalence byte-diff" \
-     "+ RVLA analyze byte-diff + bench_analytics smoke)"
+     "+ RVLA analyze byte-diff + bench_analytics smoke" \
+     "+ CLI refusals + steady-state daily series)"

@@ -57,16 +57,27 @@ void RoutingSystem::require_mutable(const char* op) const {
   }
 }
 
-void RoutingSystem::freeze() {
-  if (frozen_) return;
+std::size_t RoutingSystem::warm() {
   // Warm set: converged routes for every announced prefix — forwarding
   // only ever looks up candidate_prefixes(), which is a subset — and the
   // SLURM view of every configured SLURM policy, which validity_for()
   // would otherwise materialize lazily on first query.
-  for (const net::Ipv4Prefix& prefix : all_prefixes()) routes_for(prefix);
+  std::size_t converged = 0;
+  announcements_.for_each(
+      [&](const net::Ipv4Prefix& prefix, const std::vector<Asn>&) {
+        if (cache_.contains(prefix)) return;
+        routes_for(prefix);
+        ++converged;
+      });
   for (const auto& [asn, pol] : policies_) {
     if (pol.has_slurm()) slurm_view(asn);
   }
+  return converged;
+}
+
+void RoutingSystem::freeze() {
+  if (frozen_) return;
+  warm();
   frozen_ = true;
 }
 
@@ -434,14 +445,23 @@ bool RoutingSystem::rov_sensitive(const net::Ipv4Prefix& prefix) const {
 
 const RouteMap& RoutingSystem::routes_for(const net::Ipv4Prefix& prefix) {
   const auto it = cache_.find(prefix);
-  if (it != cache_.end()) return it->second;
+  if (it != cache_.end()) return *it->second;
   if (frozen_) {
     // freeze() warmed every announced prefix; computing here would
     // insert into cache_ under concurrent readers. See freeze().
     throw std::logic_error(
         "RoutingSystem::routes_for miss on a frozen instance");
   }
-  return cache_.emplace(prefix, compute_routes(prefix)).first->second;
+  return *cache_
+              .emplace(prefix,
+                       std::make_shared<const RouteMap>(compute_routes(prefix)))
+              .first->second;
+}
+
+std::shared_ptr<const RouteMap> RoutingSystem::route_map(
+    const net::Ipv4Prefix& prefix) const {
+  const auto it = cache_.find(prefix);
+  return it != cache_.end() ? it->second : nullptr;
 }
 
 const RouteEntry* RoutingSystem::route_at(Asn asn,

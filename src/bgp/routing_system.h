@@ -56,13 +56,14 @@ class RoutingSystem {
  public:
   explicit RoutingSystem(const topology::AsGraph& graph);
 
-  /// Cloning constructor: a deep copy of `other`'s complete routing
-  /// state — policies, epochs, VRPs, SLURM/effective views,
-  /// announcements and the converged-route cache — rebound to `graph`
-  /// (normally the epoch's own copy of the AS graph, so the clone shares
-  /// no state with the source world). The clone starts un-frozen; the
-  /// epoch-snapshot publisher warms and freezes it before sharing
-  /// (snapshot/epoch_world.h).
+  /// Cloning constructor: a copy of `other`'s complete routing state —
+  /// policies, epochs, VRPs, SLURM/effective views, announcements and
+  /// the converged-route cache — rebound to `graph` (normally the
+  /// epoch's own copy of the AS graph). Converged RouteMaps are shared
+  /// with `other`, not copied: a cached map is immutable and is only
+  /// ever dropped and replaced, so sharing it is copy-on-write. The clone
+  /// starts un-frozen; the epoch-snapshot publisher warms the source and
+  /// freezes the clone before sharing it (snapshot/epoch_world.h).
   RoutingSystem(const RoutingSystem& other, const topology::AsGraph& graph);
 
   ~RoutingSystem();
@@ -105,8 +106,17 @@ class RoutingSystem {
   // miss after freeze() also throws: it would mean the warm set was
   // incomplete, which is a bug, and computing lazily would be a data
   // race — failing loudly is the only sound option.
+  //
+  // The publisher warms its mutable build world (warm()) and clones it,
+  // so freezing the clone finds every cache already full and computes
+  // nothing.
 
-  /// Warm all caches and lock the instance. Idempotent.
+  /// Converge every announced prefix not yet cached and materialize the
+  /// SLURM view of every configured SLURM policy. Returns how many
+  /// prefixes it converged (0 when everything was already warm).
+  std::size_t warm();
+
+  /// warm(), then lock the instance. Idempotent.
   void freeze();
   bool frozen() const noexcept { return frozen_; }
 
@@ -218,6 +228,12 @@ class RoutingSystem {
   /// use and cached until invalidated.
   const RouteMap& routes_for(const net::Ipv4Prefix& prefix);
 
+  /// The cached map routes_for() returns, as the shared handle clones
+  /// hold (null when `prefix` is not converged). Two handles compare
+  /// equal exactly when they name the same converged map.
+  std::shared_ptr<const RouteMap> route_map(
+      const net::Ipv4Prefix& prefix) const;
+
   /// The route entry at `asn` for `prefix`, or nullptr if none.
   const RouteEntry* route_at(Asn asn, const net::Ipv4Prefix& prefix);
 
@@ -290,7 +306,10 @@ class RoutingSystem {
   std::unordered_map<Asn, std::uint32_t> effective_bindings_;
 
   net::PrefixTrie<std::vector<Asn>> announcements_;
-  std::unordered_map<net::Ipv4Prefix, RouteMap> cache_;
+  // Converged routes, shared with clones (see the cloning constructor).
+  // A map is never mutated after insertion — only erased and replaced —
+  // so sharing needs no lock beyond the refcount's own atomics.
+  std::unordered_map<net::Ipv4Prefix, std::shared_ptr<const RouteMap>> cache_;
   PropagationEngine engine_ = PropagationEngine::kAuto;
   // Compiled flat-engine state (graph CSR + rank order + policy
   // mirrors + scratch arena). Rebuilt lazily after set_policy /

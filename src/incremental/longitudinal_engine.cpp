@@ -77,34 +77,6 @@ std::size_t count_inconclusive(
   return n;
 }
 
-// The one VRP install path, shared by run_round and checkpoint replay:
-// resume bit-identity rests on the replayed world evolving through the
-// very same delta/dirty computation and install call as the original
-// process did. `report` is optional (replay has none).
-scenario::VrpInstaller make_vrp_installer(bool incremental,
-                                          RoundReport* report) {
-  return [incremental, report](bgp::RoutingSystem& routing,
-                               const rpki::VrpSet& prev, rpki::VrpSet next) {
-    const VrpDelta delta = VrpDeltaComputer::diff(prev, next);
-    const DirtyPrefixTracker tracker(delta);
-    const std::size_t touched = tracker.touched_announced(routing);
-    std::vector<net::Ipv4Prefix> dirty =
-        tracker.dirty_prefixes(prev, next, routing);
-    if (report != nullptr) {
-      report->vrp_announced = delta.announced.size();
-      report->vrp_withdrawn = delta.withdrawn.size();
-      report->touched_announced = touched;
-      report->dirty_prefix_count = dirty.size();
-    }
-    if (incremental) {
-      routing.apply_vrp_delta(std::move(next), dirty, delta.announced,
-                              delta.withdrawn);
-    } else {
-      routing.set_vrps(std::move(next));
-    }
-  };
-}
-
 // Digest helpers: every field that can change measurement output feeds
 // the writer. kDigestSchema bumps whenever the field set changes, so an
 // old checkpoint meets a clean digest mismatch instead of a stale hash
@@ -194,6 +166,30 @@ void digest_rovista(persist::ByteWriter& w, const core::RovistaConfig& c) {
 }
 
 }  // namespace
+
+scenario::VrpInstaller make_vrp_installer(bool incremental,
+                                          RoundReport* report) {
+  return [incremental, report](bgp::RoutingSystem& routing,
+                               const rpki::VrpSet& prev, rpki::VrpSet next) {
+    const VrpDelta delta = VrpDeltaComputer::diff(prev, next);
+    const DirtyPrefixTracker tracker(delta);
+    const std::size_t touched = tracker.touched_announced(routing);
+    std::vector<net::Ipv4Prefix> dirty =
+        tracker.dirty_prefixes(prev, next, routing);
+    if (report != nullptr) {
+      report->vrp_announced = delta.announced.size();
+      report->vrp_withdrawn = delta.withdrawn.size();
+      report->touched_announced = touched;
+      report->dirty_prefix_count = dirty.size();
+    }
+    if (incremental) {
+      routing.apply_vrp_delta(std::move(next), dirty, delta.announced,
+                              delta.withdrawn);
+    } else {
+      routing.set_vrps(std::move(next));
+    }
+  };
+}
 
 IncrementalLongitudinalRunner::IncrementalLongitudinalRunner(
     IncrementalConfig config)
@@ -462,7 +458,7 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
       date, make_vrp_installer(config_.incremental, &report));
   report.events = stats.events();
 
-  // The round's epoch: one immutable deep copy of the fully-advanced
+  // The round's epoch: one immutable snapshot of the fully-advanced
   // tracking world (VRPs installed, fault views bound), shared by the
   // discovery pass and every measurement worker below. The previous
   // round's epoch is released here; it dies once its last reader does.

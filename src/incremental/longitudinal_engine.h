@@ -109,6 +109,15 @@ struct RoundReport {
   core::MeasurementRound round;      // bit-identical to a full recompute
 };
 
+/// The one VRP install path, shared by run_round and checkpoint replay:
+/// resume bit-identity rests on the replayed world evolving through the
+/// very same delta/dirty computation and install call as the original
+/// process did. `incremental` installs by apply_vrp_delta (only dirty
+/// prefixes lose their converged routes), otherwise by set_vrps. Fills
+/// the delta fields of `report` when non-null (replay passes none).
+scenario::VrpInstaller make_vrp_installer(bool incremental,
+                                          RoundReport* report);
+
 class IncrementalLongitudinalRunner {
  public:
   explicit IncrementalLongitudinalRunner(IncrementalConfig config);
@@ -169,8 +178,9 @@ class IncrementalLongitudinalRunner {
   /// state directly would invalidate the cache-soundness argument,
   /// which assumes all control-plane change flows through advance_to.
   /// (The tracking world doubles as the epoch publisher's private build
-  /// world; published epochs are deep copies, so between-round
-  /// repository edits never reach an already-published epoch.)
+  /// world; published epochs copy it and share only its immutable route
+  /// maps, so between-round repository edits never reach an
+  /// already-published epoch.)
   scenario::Scenario& world() noexcept { return publisher_->world(); }
 
   /// Epoch lifecycle gauges (kSnapshot engine; see EpochPublisher).

@@ -39,7 +39,8 @@ struct LoadgenOptions {
   /// Request mix: fractions of TRAJECTORY and REACH; the rest SCORE.
   double trajectory_fraction = 0.0;
   double reach_fraction = 0.0;
-  /// REACH destination (host-order IPv4) and port; 0 probes nowhere.
+  /// REACH destination (host-order IPv4) and port; 0 probes 0.0.0.0,
+  /// so `rovista loadgen` refuses a REACH share without --reach-dst.
   std::uint32_t reach_dst = 0;
   std::uint16_t reach_port = 0;
   /// ASNs to query. Empty = fetch the server's scored set first.

@@ -18,9 +18,11 @@ EpochPublisher::EpochPublisher(std::unique_ptr<scenario::Scenario> world)
 EpochRef EpochPublisher::publish() {
   const std::uint64_t seq =
       sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Materialize outside the lock: the deep copy + freeze is the slow
-  // part and touches only the (publisher-private) build world.
-  auto epoch = std::make_shared<const EpochWorld>(*world_, seq, live_);
+  // Warm and materialize outside the lock: both touch only the
+  // (publisher-private) build world and the new epoch.
+  world_->routing().warm();
+  auto epoch =
+      std::make_shared<const EpochWorld>(*world_, seq, live_, digests_);
   std::lock_guard<std::mutex> lock(current_mutex_);
   current_ = epoch;  // previous epoch: kept alive only by reader pins
   published_.erase(

@@ -9,8 +9,17 @@
 // acquire time and keep it until they release — a publish never blocks
 // on readers and never invalidates a pinned epoch.
 //
+// Demand-warmed epochs: publish() converges every announced prefix on
+// the build world itself (RoutingSystem::warm), so converged routes
+// survive across rounds and a publish re-converges only the prefixes the
+// advance since the last one erased (VRP delta, announce/withdraw,
+// policy and fault-view changes, the invalidate_all fence). The epoch's
+// routing clone then shares every immutable RouteMap with the build
+// world and with older epochs, and its digest re-walks only the maps
+// that changed (DigestMemo).
+//
 // Publish ordering contract: everything the new epoch must reflect
-// happens-before the swap (the EpochWorld constructor deep-copies and
+// happens-before the swap (the EpochWorld constructor copies and
 // freezes under the publisher thread), and the mutex acquire/release
 // pair orders the swap against concurrent current() calls, so a reader
 // either sees the complete old epoch or the complete new one — never a
@@ -63,8 +72,9 @@ class EpochPublisher {
     return world_->advance_to(date, installer);
   }
 
-  /// Materialize the build world's current state as a new immutable
-  /// epoch and make it current. Returns a pin on the new epoch.
+  /// Warm the build world, materialize its current state as a new
+  /// immutable epoch and make it current. Returns a pin on the new
+  /// epoch.
   EpochRef publish();
 
   /// Pin the current epoch (any thread). Empty ref if nothing has been
@@ -96,6 +106,7 @@ class EpochPublisher {
 
  private:
   std::unique_ptr<scenario::Scenario> world_;
+  DigestMemo digests_;  // publisher-thread only
   std::shared_ptr<std::atomic<long>> live_;
   std::atomic<std::uint64_t> sequence_{0};
   std::atomic<long> warn_depth_{0};

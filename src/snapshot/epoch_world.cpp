@@ -1,6 +1,8 @@
 #include "snapshot/epoch_world.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "scenario/scenario.h"
@@ -42,10 +44,88 @@ void mix_vrp_set(Fnv1a& h, const rpki::VrpSet& set) {
   }
 }
 
+// splitmix64's finalizer: a full-avalanche mix of one 64-bit word.
+std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// Sub-digest of one announced prefix: its key, its origins and the
+// converged route of every AS. Each route entry is mixed as two whole
+// words and the entry hashes are summed, so the value does not depend
+// on hash-map iteration order.
+std::uint64_t prefix_digest(const bgp::RoutingSystem& routing,
+                            const net::Ipv4Prefix& prefix,
+                            const bgp::RouteMap& routes) {
+  std::vector<topology::Asn> origins = routing.origins_of(prefix);
+  std::sort(origins.begin(), origins.end());
+  std::uint64_t h = mix64(prefix_key(prefix));
+  for (const topology::Asn origin : origins) h = mix64(h ^ origin);
+  std::uint64_t entries = 0;
+  for (const auto& [asn, e] : routes) {
+    const std::uint64_t hop = (std::uint64_t{asn} << 32) | e.next_hop;
+    const std::uint64_t route =
+        (std::uint64_t{e.origin} << 32) |
+        (static_cast<std::uint64_t>(e.learned_from) << 24) |
+        (static_cast<std::uint64_t>(e.validity) << 16) | e.path_len;
+    entries += mix64(mix64(hop) ^ route);
+  }
+  return mix64(mix64(h ^ routes.size()) ^ entries);
+}
+
+// The epoch digest: the date, the announced prefixes' sub-digests (from
+// `sub`), and the RPKI surface — base VRPs plus the per-AS fault-degraded
+// views, content-fingerprinted, so a fault window flipping one AS's view
+// moves the digest even with a base-VRP delta of exactly zero. Each
+// sub-digest carries its prefix's key, so summing them keeps the digest
+// independent of iteration order.
+template <typename SubDigest>
+std::uint64_t compose_digest(const bgp::RoutingSystem& routing, Date date,
+                             SubDigest&& sub) {
+  const std::vector<net::Ipv4Prefix> prefixes = routing.all_prefixes();
+  std::uint64_t routes = 0;
+  for (const net::Ipv4Prefix& prefix : prefixes) routes += sub(prefix);
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(date.days_since_epoch()));
+  h.mix(prefixes.size());
+  h.mix(routes);
+  mix_vrp_set(h, routing.vrps());
+  h.mix(routing.effective_views_fingerprint());
+  h.mix(routing.slurm_view_count());
+  return h.value();
+}
+
 }  // namespace
 
+std::uint64_t DigestMemo::digest(const bgp::RoutingSystem& routing,
+                                 Date date) {
+  // Rebuilt every publish, so the memo holds exactly the current maps.
+  std::unordered_map<net::Ipv4Prefix, Entry> next;
+  next.reserve(entries_.size());
+  const std::uint64_t digest =
+      compose_digest(routing, date, [&](const net::Ipv4Prefix& prefix) {
+        std::shared_ptr<const bgp::RouteMap> routes = routing.route_map(prefix);
+        if (routes == nullptr) {
+          throw std::logic_error("DigestMemo: " + prefix.to_string() +
+                                 " is announced but not converged");
+        }
+        const auto it = entries_.find(prefix);
+        const std::uint64_t sub =
+            it != entries_.end() && it->second.routes == routes
+                ? it->second.digest
+                : prefix_digest(routing, prefix, *routes);
+        next.emplace(prefix, Entry{std::move(routes), sub});
+        return sub;
+      });
+  entries_ = std::move(next);
+  return digest;
+}
+
 EpochWorld::EpochWorld(const scenario::Scenario& world, std::uint64_t sequence,
-                       std::shared_ptr<std::atomic<long>> live)
+                       std::shared_ptr<std::atomic<long>> live,
+                       DigestMemo& digests)
     : sequence_(sequence),
       date_(world.current()),
       client_as_a_(world.client_as_a()),
@@ -61,7 +141,7 @@ EpochWorld::EpochWorld(const scenario::Scenario& world, std::uint64_t sequence,
                                                   *graph_);
   routing_->freeze();
   template_plane_ = mutable_world.plane().clone_fresh(*routing_);
-  digest_ = recompute_digest();
+  digest_ = digests.digest(*routing_, date_);
   if (live_) live_->fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -70,48 +150,9 @@ EpochWorld::~EpochWorld() {
 }
 
 std::uint64_t EpochWorld::recompute_digest() const {
-  Fnv1a h;
-  h.mix(static_cast<std::uint64_t>(date_.days_since_epoch()));
-
-  // Announced prefixes, their origins, and the converged route of every
-  // AS — the complete control-plane surface measurement reads. Sorted
-  // iteration keeps the digest independent of hash-map order.
-  std::vector<net::Ipv4Prefix> prefixes = routing_->all_prefixes();
-  std::sort(prefixes.begin(), prefixes.end(),
-            [](const net::Ipv4Prefix& a, const net::Ipv4Prefix& b) {
-              return prefix_key(a) < prefix_key(b);
-            });
-  h.mix(prefixes.size());
-  for (const net::Ipv4Prefix& prefix : prefixes) {
-    h.mix(prefix_key(prefix));
-    std::vector<topology::Asn> origins = routing_->origins_of(prefix);
-    std::sort(origins.begin(), origins.end());
-    for (const topology::Asn origin : origins) h.mix(origin);
-
-    const bgp::RouteMap& routes = routing_->routes_for(prefix);
-    std::vector<topology::Asn> holders;
-    holders.reserve(routes.size());
-    for (const auto& [asn, entry] : routes) holders.push_back(asn);
-    std::sort(holders.begin(), holders.end());
-    h.mix(holders.size());
-    for (const topology::Asn asn : holders) {
-      const bgp::RouteEntry& e = routes.at(asn);
-      h.mix(asn);
-      h.mix(e.next_hop);
-      h.mix(e.origin);
-      h.mix(static_cast<std::uint64_t>(e.learned_from));
-      h.mix(static_cast<std::uint64_t>(e.validity));
-      h.mix(e.path_len);
-    }
-  }
-
-  // The RPKI surface: base VRPs plus the per-AS fault-degraded views —
-  // content-fingerprinted, so a fault window flipping one AS's view
-  // moves the digest even with a base-VRP delta of exactly zero.
-  mix_vrp_set(h, routing_->vrps());
-  h.mix(routing_->effective_views_fingerprint());
-  h.mix(routing_->slurm_view_count());
-  return h.value();
+  return compose_digest(*routing_, date_, [this](const net::Ipv4Prefix& p) {
+    return prefix_digest(*routing_, p, routing_->routes_for(p));
+  });
 }
 
 EpochReader::EpochReader(EpochRef epoch) : epoch_(std::move(epoch)) {

@@ -8,10 +8,13 @@
 //
 //   * an EpochWorld is a frozen, fully-materialized copy of everything
 //     measurement reads but never writes — the AS graph, the complete
-//     routing state (converged routes warmed for every announced prefix,
-//     SLURM and fault-degraded VRP views materialized; see
+//     routing state (converged routes for every announced prefix, SLURM
+//     and fault-degraded VRP views materialized; see
 //     bgp::RoutingSystem::freeze) — plus a pristine *template* data
-//     plane from which each reader stamps out its private host state,
+//     plane from which each reader stamps out its private host state.
+//     Routes converge in the publisher's build world, and every epoch
+//     shares the build world's immutable per-prefix RouteMaps instead
+//     of copying them,
 //   * readers pin an epoch through an EpochRef (refcounted handle),
 //     borrow the shared routing read-only, and own only the genuinely
 //     mutable slice: hosts (IP-ID counters, background RNG), the
@@ -26,7 +29,8 @@
 // Lifecycle contract (see DESIGN.md, "Epoch-snapshot world state"):
 //   pin (EpochRef copy/acquire) → read (any thread, any count) →
 //   release (EpochRef destruction). digest() is computed once at
-//   publish time; recompute_digest() walks the live state and must
+//   publish time from memoized per-prefix sub-digests (DigestMemo);
+//   recompute_digest() walks the live state from scratch and must
 //   return the same value at any point between pin and release,
 //   regardless of how many epochs were published concurrently.
 #pragma once
@@ -34,6 +38,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "bgp/routing_system.h"
@@ -51,16 +56,40 @@ namespace rovista::snapshot {
 
 using util::Date;
 
+/// Per-prefix sub-digests of converged routes, kept by the publisher
+/// across publishes so an epoch digest costs O(changed prefixes) route
+/// walks. An entry is valid while the routing system still caches the
+/// very RouteMap it was computed from: maps are immutable and only ever
+/// replaced, and announce/withdraw always replace the prefix's map, so
+/// map identity pins both the routes and the origins. Holding the
+/// shared map in the entry keeps its address from being reused.
+class DigestMemo {
+ public:
+  /// The epoch digest of `routing` (every announced prefix converged) on
+  /// `date`; equals EpochWorld::recompute_digest() of that state.
+  std::uint64_t digest(const bgp::RoutingSystem& routing, Date date);
+
+ private:
+  struct Entry {
+    std::shared_ptr<const bgp::RouteMap> routes;
+    std::uint64_t digest = 0;
+  };
+  std::unordered_map<net::Ipv4Prefix, Entry> entries_;
+};
+
 class EpochWorld {
  public:
   /// Materialize an immutable epoch from `world`'s current state. The
-  /// epoch owns a deep copy of the AS graph, a frozen clone of the
-  /// routing system bound to that copy, and a pristine template plane;
-  /// it shares no mutable state with `world`, which is free to keep
-  /// evolving (that is the whole point). `live` is the publisher's
-  /// live-epoch counter (may be null for standalone epochs).
+  /// epoch owns a copy of the AS graph, a frozen clone of the routing
+  /// system bound to that copy, and a pristine template plane; it shares
+  /// nothing mutable with `world`, which is free to keep evolving (that
+  /// is the whole point). The clone shares `world`'s converged RouteMaps,
+  /// which are immutable; warm `world` first (RoutingSystem::warm) so the
+  /// clone's freeze computes nothing. `live` is the publisher's
+  /// live-epoch counter (may be null for standalone epochs); `digests`
+  /// is the publisher's sub-digest memo.
   EpochWorld(const scenario::Scenario& world, std::uint64_t sequence,
-             std::shared_ptr<std::atomic<long>> live);
+             std::shared_ptr<std::atomic<long>> live, DigestMemo& digests);
   ~EpochWorld();
 
   EpochWorld(const EpochWorld&) = delete;
@@ -71,9 +100,12 @@ class EpochWorld {
   Date date() const noexcept { return date_; }
 
   /// Digest of the published routing state, computed at publish time.
+  /// An opaque content digest: equal states give equal digests within
+  /// one build, and nothing stores it.
   std::uint64_t digest() const noexcept { return digest_; }
 
-  /// Recompute the digest from the live frozen state. Immutability
+  /// Recompute the digest from the live frozen state, walking every
+  /// route (the oracle for the memoized digest()). Immutability
   /// property: equals digest() for the epoch's entire lifetime.
   std::uint64_t recompute_digest() const;
 

@@ -162,10 +162,17 @@ TEST(ExperimentEdge, ZeroBackgroundVvp) {
 
 // Sweep: verdicts stay correct across background rates within the
 // usable envelope, in both reachability regimes.
+//
+// gtest prints a parameter without a PrintTo overload as its raw bytes,
+// and gtest_discover_tests names each ctest case from that printout.
+// The padding after `filtered` is spelled out and zeroed so those bytes
+// (and the case names) are the same on every run.
 struct SweepParam {
   double rate;
   bool filtered;
+  unsigned char padding[7] = {};
 };
+static_assert(sizeof(SweepParam) == 16, "every byte of SweepParam is a member");
 
 class ExperimentSweep : public ::testing::TestWithParam<SweepParam> {};
 

@@ -8,15 +8,23 @@
 //     published in between (immutability),
 //   * no epoch is freed while pinned, and the live-epoch chain stays
 //     bounded — publishing N times with no readers leaves exactly one
-//     epoch alive (grace period / reclamation).
+//     epoch alive (grace period / reclamation),
+//   * routes converge in the build world and epochs share every RouteMap
+//     a day did not dirty, and the memoized digest equals the full-walk
+//     oracle on every publish.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "incremental/dirty_prefix.h"
+#include "incremental/longitudinal_engine.h"
+#include "incremental/vrp_delta.h"
 #include "round_fixture.h"
 #include "snapshot/epoch_publisher.h"
 #include "snapshot/world_source.h"
@@ -27,6 +35,30 @@ namespace {
 using namespace rovista;
 
 scenario::ScenarioParams small_params() { return testfx::round_params(); }
+
+// The incremental engine's VRP install: only the prefixes whose base
+// validity flipped lose their converged routes, so the rest survive
+// the advance. Records that dirty set in `dirty` when non-null.
+scenario::VrpInstaller delta_installer(
+    std::vector<net::Ipv4Prefix>* dirty = nullptr) {
+  return [dirty](bgp::RoutingSystem& routing, const rpki::VrpSet& prev,
+                 rpki::VrpSet next) {
+    if (dirty != nullptr) {
+      *dirty = incremental::DirtyPrefixTracker(
+                   incremental::VrpDeltaComputer::diff(prev, next))
+                   .dirty_prefixes(prev, next, routing);
+    }
+    incremental::make_vrp_installer(true, nullptr)(routing, prev,
+                                                   std::move(next));
+  };
+}
+
+std::vector<topology::Asn> sorted_origins(const bgp::RoutingSystem& routing,
+                                          const net::Ipv4Prefix& prefix) {
+  std::vector<topology::Asn> origins = routing.origins_of(prefix);
+  std::sort(origins.begin(), origins.end());
+  return origins;
+}
 
 TEST(SnapshotFreeze, FrozenRoutingRefusesEveryMutator) {
   scenario::Scenario world(small_params());
@@ -226,7 +258,8 @@ TEST(SnapshotImmutability, DigestAtPinEqualsDigestAtRelease) {
 
   // Evolve the build world hard — 200 days of policy events, churn and
   // relying-party reruns — and publish over it repeatedly. The pinned
-  // epoch is a deep frozen copy; nothing may leak through.
+  // epoch is frozen and shares only immutable route maps; nothing may
+  // leak through.
   std::uint64_t last_digest = at_pin;
   bool changed = false;
   for (int i = 1; i <= 4; ++i) {
@@ -240,6 +273,150 @@ TEST(SnapshotImmutability, DigestAtPinEqualsDigestAtRelease) {
   // at least once — otherwise the immutability check above is vacuous.
   EXPECT_TRUE(changed);
   EXPECT_EQ(epoch->recompute_digest(), at_pin);  // at release
+}
+
+TEST(SnapshotImmutability, MemoizedDigestEqualsFullWalkOnEveryPublish) {
+  // SLURM views and fault degradation on, so every input of the digest
+  // moves somewhere in the series.
+  scenario::ScenarioParams params = small_params();
+  params.slurm_fraction = 0.35;
+  params.faults.rp_failure_rate = 0.15;
+  params.faults.rp_divergence_fraction = 0.15;
+  params.faults.rtr_drop_rate = 0.15;
+  snapshot::EpochPublisher pub(params);
+
+  // Daily publishes from just before the relationship change (the
+  // invalidate_all fence) to just after the 2022-05-27 surge of invalid
+  // announcements, with incremental VRP installs so most sub-digests
+  // come from the memo.
+  const util::Date first =
+      pub.world().cases().cloudflare_becomes_customer - 5;
+  const util::Date last = util::Date::from_ymd(2022, 5, 27) + 5;
+  ASSERT_GE(last - first, 60);
+  std::size_t relationship_days = 0;
+  std::size_t churn_days = 0;
+  std::size_t policy_days = 0;
+  std::size_t zero_delta_flips = 0;
+  std::size_t shared_maps = 0;  // sub-digests the memo could reuse
+  snapshot::EpochRef prev;
+  std::uint64_t prev_walk = 0;
+  std::uint64_t prev_views = 0;
+  rpki::VrpSet prev_vrps;
+  for (util::Date date = first; date <= last; date = date + 1) {
+    SCOPED_TRACE(date.to_string());
+    const scenario::AdvanceStats stats =
+        pub.advance_to(date, delta_installer());
+    snapshot::EpochRef epoch = pub.publish();
+    const std::uint64_t walk = epoch->recompute_digest();
+    ASSERT_EQ(epoch->digest(), walk);
+    if (prev) {
+      EXPECT_EQ(epoch->digest() != prev->digest(), walk != prev_walk);
+      for (const net::Ipv4Prefix& p : epoch->shared_routing().all_prefixes()) {
+        if (epoch->shared_routing().route_map(p) ==
+            prev->shared_routing().route_map(p)) {
+          ++shared_maps;
+        }
+      }
+      const std::uint64_t views = pub.world().effective_views_digest();
+      if (incremental::VrpDeltaComputer::diff(prev_vrps,
+                                              pub.world().current_vrps())
+              .empty() &&
+          views != prev_views) {
+        ++zero_delta_flips;
+      }
+    }
+    relationship_days += stats.relationship_events > 0 ? 1 : 0;
+    churn_days += stats.announce_events > 0 ? 1 : 0;
+    policy_days += stats.policy_events > 0 ? 1 : 0;
+    prev = std::move(epoch);
+    prev_walk = walk;
+    prev_views = pub.world().effective_views_digest();
+    prev_vrps = pub.world().current_vrps();
+  }
+  // The series must exercise the memo and cover every kind of change it
+  // has to notice.
+  EXPECT_GT(shared_maps, 0u);
+  EXPECT_GT(relationship_days, 0u);
+  EXPECT_GT(churn_days, 0u);
+  EXPECT_GT(policy_days, 0u);
+  EXPECT_GT(zero_delta_flips, 0u);
+}
+
+TEST(SnapshotSharing, EpochsShareEveryRouteMapTheDayDidNotDirty) {
+  snapshot::EpochPublisher pub(small_params());
+  const util::Date start = pub.world().start();
+  pub.advance_to(start + 30, delta_installer());
+  snapshot::EpochRef prev = pub.publish();
+
+  // A publish with nothing dirty converges nothing: the build world is
+  // already warm, and the new epoch shares every map with the old one.
+  {
+    bgp::RoutingSystem& build = pub.world().routing();
+    EXPECT_EQ(build.cached_prefixes(), build.all_prefixes().size());
+    EXPECT_EQ(build.warm(), 0u);
+    const snapshot::EpochRef again = pub.publish();
+    for (const net::Ipv4Prefix& p : again->shared_routing().all_prefixes()) {
+      EXPECT_EQ(&again->shared_routing().routes_for(p),
+                &prev->shared_routing().routes_for(p))
+          << p.to_string();
+    }
+    EXPECT_EQ(again->digest(), prev->digest());
+  }
+
+  // Day by day: a prefix gets a new map exactly when the advance erased
+  // it — a base-validity flip, an origin announced or withdrawn, or a
+  // policy event on a ROV-sensitive prefix (set_policy).
+  std::size_t shared = 0;
+  std::size_t vrp_dirtied = 0;
+  std::size_t churned = 0;
+  for (int day = 31; day <= 225; ++day) {  // through the 2022 surge
+    SCOPED_TRACE("day " + std::to_string(day));
+    std::vector<net::Ipv4Prefix> dirty;
+    const scenario::AdvanceStats stats =
+        pub.advance_to(start + day, delta_installer(&dirty));
+    snapshot::EpochRef next = pub.publish();
+    bgp::RoutingSystem& build = pub.world().routing();
+    ASSERT_EQ(build.cached_prefixes(), build.all_prefixes().size());
+    // Routes converged in the build world; freezing the clone computed
+    // nothing, so the epoch holds the build world's own maps.
+    for (const net::Ipv4Prefix& p : build.all_prefixes()) {
+      ASSERT_EQ(&next->shared_routing().routes_for(p), &build.routes_for(p));
+    }
+    if (stats.relationship_events > 0) {  // invalidate_all: all new maps
+      prev = std::move(next);
+      continue;
+    }
+
+    bgp::RoutingSystem& before = prev->shared_routing();
+    bgp::RoutingSystem& after = next->shared_routing();
+    const std::vector<net::Ipv4Prefix> old_prefixes = before.all_prefixes();
+    const std::unordered_set<net::Ipv4Prefix> was_announced(
+        old_prefixes.begin(), old_prefixes.end());
+    const std::unordered_set<net::Ipv4Prefix> flipped(dirty.begin(),
+                                                      dirty.end());
+    for (const net::Ipv4Prefix& p : after.all_prefixes()) {
+      if (!was_announced.contains(p)) {
+        ++churned;  // newly announced: necessarily a new map
+        continue;
+      }
+      const bool origins_moved =
+          sorted_origins(before, p) != sorted_origins(after, p);
+      const bool policy_dropped =
+          stats.policy_events > 0 && before.rov_sensitive(p);
+      const bool erased =
+          flipped.contains(p) || origins_moved || policy_dropped;
+      const bool same_map = &before.routes_for(p) == &after.routes_for(p);
+      EXPECT_NE(same_map, erased) << p.to_string();
+      shared += same_map ? 1 : 0;
+      vrp_dirtied += flipped.contains(p) ? 1 : 0;
+      churned += origins_moved ? 1 : 0;
+    }
+    prev = std::move(next);
+  }
+  // The window must exercise both kinds of erase, and sharing itself.
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(vrp_dirtied, 0u);
+  EXPECT_GT(churned, 0u);
 }
 
 TEST(SnapshotReader, ReadersShareRoutingButOwnHostState) {

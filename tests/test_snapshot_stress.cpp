@@ -111,8 +111,8 @@ void readers_vs_installer(scenario::ScenarioParams params, int publishes) {
   }
 
   // The installer, concurrent with every reader above: evolve the build
-  // world and publish. Each publish deep-copies the routing state the
-  // readers are concurrently reading through their pinned epoch — if
+  // world and publish. Each publish clones the routing state and shares
+  // its route maps with the epoch the readers have pinned — if
   // publication shared anything mutable with readers, TSan flags it
   // here.
   for (int p = 1; p <= publishes; ++p) {

@@ -258,8 +258,9 @@ int usage() {
       "          drive a serve daemon: open-loop at --rate req/s, or\n"
       "          closed-loop at --pipeline outstanding per connection;\n"
       "          --record captures every OK score response for feedcheck;\n"
-      "          --reach-dst/--reach-port pin reachability queries to one\n"
-      "          numeric IPv4 destination instead of sampled tNodes\n"
+      "          --reach-fraction sends that share of requests as\n"
+      "          reachability queries to --reach-dst (a numeric IPv4,\n"
+      "          required when the fraction is above 0) and --reach-port\n"
       "  feedcheck --record FILE --published DIR\n"
       "          verify a loadgen record byte-for-byte against a\n"
       "          published dataset: every served score must equal the\n"
@@ -1099,6 +1100,10 @@ int cmd_loadgen(const Args& args) {
   if (const char* v = args.get("reach-dst")) {
     if (!util::parse_u64(v, u)) return usage();
     options.reach_dst = static_cast<std::uint32_t>(u);
+  } else if (options.reach_fraction > 0.0) {
+    std::fprintf(stderr,
+                 "error: --reach-fraction above 0 needs --reach-dst\n");
+    return 2;
   }
   if (const char* v = args.get("reach-port")) {
     if (!util::parse_u64(v, u)) return usage();
