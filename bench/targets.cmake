@@ -54,3 +54,4 @@ rovista_bench(bench_analytics)
 target_link_libraries(bench_analytics PRIVATE rovista_analytics)
 
 rovista_bench(bench_scale)
+target_link_libraries(bench_scale PRIVATE rovista_propagation_oracle)

@@ -43,14 +43,15 @@
 #  11. bench_scale smoke: the scaling bench's --smoke shape (~5k ASes)
 #      must complete under a wall-clock ceiling with every internal
 #      check green ("ok": true) — digests thread-invariant, zero flat
-#      fallbacks, LPM spot-checks passing (stage 1c),
+#      refusals, oracle and LPM spot-checks passing (stage 1c),
 #  12. RVLA archive end-to-end: a longitudinal run with --archive, then
 #      `rovista analyze --publish` straight off the archive, byte-diffed
 #      against the CSVs the in-memory store published during the run;
 #      plus bench_analytics --smoke under a wall-clock ceiling with its
 #      streaming-vs-store identity gates green ("ok": true),
 #  13. CLI refusals: `loadgen --reach-fraction` above 0 without
-#      --reach-dst exits 2 with a one-line error (stage 1b),
+#      --reach-dst, and any flag a subcommand does not accept, exit 2
+#      with a one-line error (stage 1b),
 #  14. steady-state daily series: 300 daily rounds on the small world
 #      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
 #      and its first 60 rounds' published CSVs byte-identical to the
@@ -114,17 +115,21 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-stage "CLI refusals (loadgen REACH share without a destination)"
-# Refused before any connection is attempted, so no server is needed.
-status=0
-build/tools/rovista loadgen --port 9 --reach-fraction 0.1 \
-  > /dev/null 2> "$DOCS_TMP/refusal.txt" || status=$?
-if [ "$status" -ne 2 ] || [ "$(wc -l < "$DOCS_TMP/refusal.txt")" -ne 1 ]; then
-  echo "loadgen --reach-fraction without --reach-dst: exit $status," \
-       "want 2 with a one-line error" >&2
-  cat "$DOCS_TMP/refusal.txt" >&2 || true
-  exit 1
-fi
+stage "CLI refusals (REACH share without a destination, unknown flags)"
+# Each is refused before any world is built or connection attempted.
+refuse() {
+  local status=0
+  build/tools/rovista "$@" > /dev/null 2> "$DOCS_TMP/refusal.txt" \
+    || status=$?
+  if [ "$status" -ne 2 ] || [ "$(wc -l < "$DOCS_TMP/refusal.txt")" -ne 1 ]; then
+    echo "rovista $*: exit $status, want 2 with a one-line error" >&2
+    cat "$DOCS_TMP/refusal.txt" >&2 || true
+    exit 1
+  fi
+}
+refuse loadgen --port 9 --reach-fraction 0.1
+refuse measure --propagation flat
+refuse query --dir "$DOCS_TMP" --asn 129 --bogus 7
 
 stage "bench_scale smoke (scaling contract under a wall-clock ceiling)"
 # The full shape takes ~30 s; the smoke shape (~5k ASes) must stay well

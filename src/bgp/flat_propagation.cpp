@@ -1,6 +1,7 @@
 #include "bgp/flat_propagation.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "bgp/policy.h"
 
@@ -92,8 +93,8 @@ FlatGraph FlatGraph::build(const topology::AsGraph& graph) {
     }
   }
   if (drained != n) {
-    g.customer_cycle = true;
-    return g;
+    throw std::runtime_error(topology::describe_customer_cycle(
+        topology::find_customer_cycle(graph)));
   }
 
   // Counting sort by rank; index order within a rank (no two ASes of
@@ -163,7 +164,6 @@ std::uint64_t FlatRouteTable::digest() const noexcept {
 bool propagate(const PrefixInput& in, FlatRouteTable& t) {
   const FlatGraph& g = *in.graph;
   const FlatPolicy& pol = *in.policy;
-  if (g.customer_cycle) return false;
   const std::uint32_t n = g.size();
   const std::uint32_t norigins =
       static_cast<std::uint32_t>(in.origin_idx.size());
@@ -320,11 +320,8 @@ bool propagate(const PrefixInput& in, FlatRouteTable& t) {
     return changed;
   };
 
-  // Sweep to the fixed point: plain Gao–Rexford needs one working sweep
-  // plus one certifying sweep; prefer-valid worlds occasionally need a
-  // third. The cap is a refusal threshold, not a truncation — hitting
-  // it sends the prefix to the exact engine.
-  constexpr int kMaxSweeps = 16;
+  // Sweep to the fixed point. kMaxSweeps is a refusal threshold, not a
+  // truncation: hitting it returns false, never a partial table.
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     std::size_t changes = 0;
     for (const std::uint32_t r : g.up_order) {  // UP: customer wave

@@ -1,10 +1,10 @@
-// Rank-flattened Gao–Rexford propagation for Internet-scale graphs.
+// Rank-flattened Gao–Rexford propagation: the engine RoutingSystem
+// converges every prefix with.
 //
-// The demand-driven fixed point in routing_system.cpp keeps a full
-// Adj-RIB-In per AS — exact, but allocation-heavy: per-route vectors,
-// per-AS hash maps, a work queue. At CAIDA magnitude (~75k ASes) that
-// costs more in allocator traffic than in routing logic. This module is
-// the arena/SoA replacement for large worlds:
+// An Adj-RIB-In fixed point (kept in tests/propagation_oracle.h as the
+// reference) is exact but allocation-heavy: per-route vectors, per-AS
+// hash maps, a work queue. This module computes the same stable state
+// over arena/SoA arrays:
 //
 //   * FlatGraph — the AS graph compiled to index space: CSR neighbor
 //     lists split by relationship class, plus a provider rank per AS
@@ -26,9 +26,10 @@
 // then lowest next-hop ASN, which is unique per candidate because each
 // candidate's next hop *is* the distinct offering neighbor — so the
 // stable state is independent of visit order and bit-identical to the
-// Adj-RIB-In engine's. propagate() returns false instead of guessing
-// whenever it cannot certify that state (customer-provider cycle, sweep
-// cap); RoutingSystem then falls back to the exact engine.
+// Adj-RIB-In fixed point's. A graph with a customer-provider cycle has
+// no such state and cannot be compiled (FlatGraph::build throws);
+// propagate() returns false instead of guessing when the sweep cap runs
+// out, and RoutingSystem then refuses the prefix with an error.
 #pragma once
 
 #include <array>
@@ -46,6 +47,11 @@ namespace rovista::bgp::flat {
 using Asn = topology::Asn;
 
 inline constexpr std::uint32_t kNoIdx = 0xffffffffu;
+
+/// Sweeps propagate() runs before refusing a prefix. Plain Gao–Rexford
+/// needs one working sweep plus one certifying sweep; prefer-valid
+/// worlds occasionally need a third.
+inline constexpr int kMaxSweeps = 16;
 
 /// Compressed sparse rows: one neighbor list per AS index.
 struct Csr {
@@ -69,14 +75,14 @@ struct FlatGraph {
   Csr providers;
   std::vector<std::uint32_t> rank;      // provider > each customer
   std::vector<std::uint32_t> up_order;  // indices by (rank, index) asc
-  // True when the p2c edges contain a cycle (an AS is transitively its
-  // own provider): no rank order exists and propagate() must refuse.
-  bool customer_cycle = false;
 
   std::uint32_t size() const noexcept {
     return static_cast<std::uint32_t>(asn_of.size());
   }
 
+  /// Compile `graph`. Throws std::runtime_error naming the ASes on one
+  /// customer-provider cycle when an AS is transitively its own
+  /// provider: no rank order exists then.
   static FlatGraph build(const topology::AsGraph& graph);
 };
 
@@ -150,9 +156,8 @@ struct FlatRouteTable {
 };
 
 /// Converge `in` into `table`. Returns false when the flat engine
-/// cannot certify the exact fixed point (customer cycle, sweep cap
-/// exhausted); the table contents are then unspecified and the caller
-/// must use the Adj-RIB-In engine instead.
+/// cannot certify the exact fixed point within kMaxSweeps sweeps; the
+/// table contents are then unspecified.
 bool propagate(const PrefixInput& in, FlatRouteTable& table);
 
 /// World-level cache bundling the compiled graph, policy mirrors and a

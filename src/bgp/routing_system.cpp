@@ -2,28 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "bgp/flat_propagation.h"
 
 namespace rovista::bgp {
-
-namespace {
-
-topology::NeighborKind invert(topology::NeighborKind kind) noexcept {
-  switch (kind) {
-    case topology::NeighborKind::kProvider:
-      return topology::NeighborKind::kCustomer;
-    case topology::NeighborKind::kCustomer:
-      return topology::NeighborKind::kProvider;
-    case topology::NeighborKind::kPeer:
-      return topology::NeighborKind::kPeer;
-  }
-  return topology::NeighborKind::kPeer;
-}
-
-}  // namespace
 
 RoutingSystem::RoutingSystem(const topology::AsGraph& graph) : graph_(graph) {}
 
@@ -39,16 +24,9 @@ RoutingSystem::RoutingSystem(const RoutingSystem& other,
       effective_views_(other.effective_views_),
       effective_bindings_(other.effective_bindings_),
       announcements_(other.announcements_),
-      cache_(other.cache_),
-      engine_(other.engine_) {}
+      cache_(other.cache_) {}
 
 RoutingSystem::~RoutingSystem() = default;
-
-void RoutingSystem::set_propagation_engine(PropagationEngine engine) {
-  require_mutable("set_propagation_engine");
-  engine_ = engine;
-  flat_.reset();  // kAuto vs kFlat share nothing worth keeping warm
-}
 
 void RoutingSystem::require_mutable(const char* op) const {
   if (frozen_) {
@@ -499,135 +477,6 @@ void RoutingSystem::invalidate_all() {
   flat_.reset();
 }
 
-RouteMap RoutingSystem::compute_routes(const net::Ipv4Prefix& prefix) const {
-  if (engine_ == PropagationEngine::kFlat ||
-      (engine_ == PropagationEngine::kAuto &&
-       graph_.size() >= kFlatAutoThreshold)) {
-    std::optional<RouteMap> flat_routes = compute_routes_flat(prefix);
-    if (flat_routes.has_value()) return *std::move(flat_routes);
-    // Declined (customer cycle / sweep cap): fall through to the exact
-    // Adj-RIB-In engine below.
-  }
-  // Full Adj-RIB-In fixed point. State is per-AS: the routes each
-  // neighbor currently offers, plus the selected best.
-  struct AsState {
-    std::unordered_map<Asn, Route> adj_in;  // neighbor → offered route
-    std::optional<Route> best;
-    bool originates = false;
-  };
-  std::unordered_map<Asn, AsState> state;
-
-  const std::vector<Asn> origins = origins_of(prefix);
-  if (origins.empty()) return {};
-
-  std::deque<Asn> queue;
-  for (Asn origin : origins) {
-    if (!graph_.contains(origin)) continue;
-    AsState& s = state[origin];
-    s.originates = true;
-    Route self;
-    self.prefix = prefix;
-    self.as_path = {origin};
-    self.learned_from = topology::NeighborKind::kCustomer;
-    self.validity = validity_for(origin, prefix, origin);
-    s.best = std::move(self);
-    queue.push_back(origin);
-  }
-
-  // Select best at `asn` from self-origination and adj-in.
-  const auto select_best = [&](Asn asn, AsState& s) -> std::optional<Route> {
-    std::optional<Route> best;
-    if (s.originates) {
-      Route self;
-      self.prefix = prefix;
-      self.as_path = {asn};
-      self.learned_from = topology::NeighborKind::kCustomer;
-      self.validity = validity_for(asn, prefix, asn);
-      return self;  // self-originated always wins
-    }
-    const AsPolicy& pol = policy(asn);
-    for (const auto& [neighbor, route] : s.adj_in) {
-      if (!best || prefer_route(pol, route, *best)) best = route;
-    }
-    return best;
-  };
-
-  std::size_t iterations = 0;
-  const std::size_t max_iterations = graph_.size() * 64 + 1024;
-  while (!queue.empty() && ++iterations < max_iterations) {
-    const Asn asn = queue.front();
-    queue.pop_front();
-    const AsState& s = state[asn];
-
-    for (const topology::Neighbor& nb : graph_.neighbors(asn)) {
-      AsState& ns = state[nb.asn];
-      const topology::NeighborKind from_neighbor_view = invert(nb.kind);
-
-      // What does `asn` offer this neighbor now?
-      std::optional<Route> offered;
-      if (s.best.has_value() &&
-          exports_to(s.best->learned_from, nb.kind)) {
-        // Loop prevention: neighbor already on the path.
-        const auto& path = s.best->as_path;
-        if (std::find(path.begin(), path.end(), nb.asn) == path.end()) {
-          Route r;
-          r.prefix = prefix;
-          r.as_path.reserve(path.size() + 1);
-          r.as_path.push_back(nb.asn);
-          r.as_path.insert(r.as_path.end(), path.begin(), path.end());
-          r.learned_from = from_neighbor_view;
-          r.validity = validity_for(nb.asn, prefix, r.origin());
-          if (rov_accepts(policy(nb.asn), nb.asn, asn, prefix,
-                          from_neighbor_view, r.validity)) {
-            offered = std::move(r);
-          }
-        }
-      }
-
-      // Update the neighbor's adj-in and reselect.
-      bool changed = false;
-      const auto existing = ns.adj_in.find(asn);
-      if (offered.has_value()) {
-        if (existing == ns.adj_in.end() ||
-            existing->second.as_path != offered->as_path ||
-            existing->second.validity != offered->validity) {
-          ns.adj_in[asn] = *offered;
-          changed = true;
-        }
-      } else if (existing != ns.adj_in.end()) {
-        ns.adj_in.erase(existing);
-        changed = true;
-      }
-      if (!changed) continue;
-
-      std::optional<Route> new_best = select_best(nb.asn, ns);
-      const bool best_changed =
-          new_best.has_value() != ns.best.has_value() ||
-          (new_best.has_value() &&
-           (new_best->as_path != ns.best->as_path ||
-            new_best->learned_from != ns.best->learned_from));
-      if (best_changed) {
-        ns.best = std::move(new_best);
-        queue.push_back(nb.asn);
-      }
-    }
-  }
-
-  RouteMap out;
-  out.reserve(state.size());
-  for (const auto& [asn, s] : state) {
-    if (!s.best.has_value()) continue;
-    RouteEntry e;
-    e.next_hop = s.best->next_hop();
-    e.origin = s.best->origin();
-    e.learned_from = s.best->learned_from;
-    e.validity = s.best->validity;
-    e.path_len = static_cast<std::uint16_t>(s.best->as_path.size());
-    out.emplace(asn, e);
-  }
-  return out;
-}
-
 flat::FlatState& RoutingSystem::flat_state() const {
   if (flat_ != nullptr) return *flat_;
   auto state = std::make_unique<flat::FlatState>();
@@ -666,14 +515,8 @@ flat::FlatState& RoutingSystem::flat_state() const {
   return *flat_;
 }
 
-std::optional<RouteMap> RoutingSystem::compute_routes_flat(
-    const net::Ipv4Prefix& prefix) const {
+RouteMap RoutingSystem::compute_routes(const net::Ipv4Prefix& prefix) const {
   flat::FlatState& state = flat_state();
-  if (state.graph.customer_cycle) {
-    ++flat_fallbacks_;
-    return std::nullopt;
-  }
-
   flat::PrefixInput in;
   in.graph = &state.graph;
   in.policy = &state.policy;
@@ -697,10 +540,10 @@ std::optional<RouteMap> RoutingSystem::compute_routes_flat(
   }
 
   if (!flat::propagate(in, state.table)) {
-    ++flat_fallbacks_;
-    return std::nullopt;
+    throw std::runtime_error("routes for " + prefix.to_string() +
+                             " did not converge within " +
+                             std::to_string(flat::kMaxSweeps) + " sweeps");
   }
-  ++flat_certified_;
 
   const flat::FlatRouteTable& t = state.table;
   RouteMap out;

@@ -6,15 +6,19 @@
 // prefixes and toward the prefixes hosting vVPs/measurement clients, so
 // the engine never materializes the full N×P routing state.
 //
-// The per-prefix fixed point keeps full Adj-RIB-In state during
-// computation (so withdrawals/replacements are handled exactly, not
-// monotonically) and then compacts the result into 16-byte entries;
-// AS paths are reconstructed on demand by walking next hops.
+// Every prefix converges on the rank-flattened engine
+// (bgp/flat_propagation.h) over a compiled copy of the graph and the
+// per-AS policies, and the result is compacted into 16-byte entries; AS
+// paths are reconstructed on demand by walking next hops. The engine
+// certifies the exact Gao–Rexford stable state or refuses: a graph
+// whose customer-provider edges form a cycle, or a prefix that does not
+// settle within the sweep cap, makes routes_for() throw
+// std::runtime_error. tests/propagation_oracle.h keeps the Adj-RIB-In
+// fixed point the engine is checked against.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -30,16 +34,6 @@ namespace rovista::bgp {
 namespace flat {
 struct FlatState;
 }
-
-/// Which propagation engine compute_routes() uses. Both produce
-/// bit-identical RouteMaps (the equivalence suite in
-/// tests/test_flat_propagation.cpp gates this); they differ only in
-/// constant factors. kAuto picks per world size: the Adj-RIB-In fixed
-/// point below kFlatAutoThreshold ASes, the rank-flattened arena engine
-/// (bgp/flat_propagation.h) at or above it. The flat engine falls back
-/// to the fixed point per prefix whenever it cannot certify exactness
-/// (customer-provider cycle, sweep cap).
-enum class PropagationEngine { kAuto, kFixedPoint, kFlat };
 
 /// Compact converged-route entry for one AS (see routes_for()).
 struct RouteEntry {
@@ -69,28 +63,6 @@ class RoutingSystem {
   ~RoutingSystem();
 
   const topology::AsGraph& graph() const noexcept { return graph_; }
-
-  /// Select the propagation engine (default kAuto). Purely a
-  /// performance choice — cached routes stay valid across a switch.
-  void set_propagation_engine(PropagationEngine engine);
-  PropagationEngine propagation_engine() const noexcept { return engine_; }
-
-  /// World size at which kAuto switches to the flat engine. Above it
-  /// the Adj-RIB-In allocator traffic dominates; below it the flat
-  /// arrays' O(n)-per-prefix sweeps would touch far more ASes than
-  /// routes exist.
-  static constexpr std::size_t kFlatAutoThreshold = 8192;
-
-  /// Diagnostics: prefixes the flat engine computed (certified) vs
-  /// handed back to the fixed point (cycle / sweep cap). Lets tests
-  /// prove the flat path genuinely ran rather than silently falling
-  /// back on every prefix.
-  std::uint64_t flat_certified_count() const noexcept {
-    return flat_certified_;
-  }
-  std::uint64_t flat_fallback_count() const noexcept {
-    return flat_fallbacks_;
-  }
 
   // -- Freezing (epoch-snapshot publication) ---------------------------
   //
@@ -225,7 +197,9 @@ class RoutingSystem {
   // -- Routes -----------------------------------------------------------
 
   /// Converged routes for a prefix: AS → best route. Computed on first
-  /// use and cached until invalidated.
+  /// use and cached until invalidated. Throws std::runtime_error when the
+  /// graph has a customer-provider cycle (naming the ASes on one) or the
+  /// prefix does not converge within flat::kMaxSweeps sweeps.
   const RouteMap& routes_for(const net::Ipv4Prefix& prefix);
 
   /// The cached map routes_for() returns, as the shared handle clones
@@ -264,16 +238,14 @@ class RoutingSystem {
   bool rov_sensitive(const net::Ipv4Prefix& prefix) const;
 
  private:
+  /// Converge one prefix on the flat engine (see routes_for()).
   RouteMap compute_routes(const net::Ipv4Prefix& prefix) const;
 
-  /// Rank-flattened computation of one prefix; nullopt when the flat
-  /// engine declines (cycle, sweep cap) and the caller must run the
-  /// Adj-RIB-In fixed point instead.
-  std::optional<RouteMap> compute_routes_flat(
-      const net::Ipv4Prefix& prefix) const;
-
   /// Compile graph + policy mirrors for the flat engine (lazily; any
-  /// topology/policy/view change drops the compiled state).
+  /// topology/policy/view change drops the compiled state). Throws
+  /// std::runtime_error naming a customer-provider cycle
+  /// (FlatGraph::build), so a graph edit that closes one is refused at
+  /// the next convergence.
   flat::FlatState& flat_state() const;
 
   /// Throws std::logic_error if this instance is frozen. Every mutator
@@ -310,14 +282,11 @@ class RoutingSystem {
   // A map is never mutated after insertion — only erased and replaced —
   // so sharing needs no lock beyond the refcount's own atomics.
   std::unordered_map<net::Ipv4Prefix, std::shared_ptr<const RouteMap>> cache_;
-  PropagationEngine engine_ = PropagationEngine::kAuto;
   // Compiled flat-engine state (graph CSR + rank order + policy
   // mirrors + scratch arena). Rebuilt lazily after set_policy /
   // set_effective_views / invalidate_all; VRP installs keep it — the
   // per-prefix validity matrix is always read fresh.
   mutable std::unique_ptr<flat::FlatState> flat_;
-  mutable std::uint64_t flat_certified_ = 0;
-  mutable std::uint64_t flat_fallbacks_ = 0;
   bool frozen_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "topology/as_graph.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace rovista::topology {
 
@@ -138,5 +139,53 @@ std::vector<Asn> AsGraph::transit_free() const {
 }
 
 std::vector<Asn> AsGraph::all_asns() const { return insertion_order_; }
+
+std::vector<Asn> find_customer_cycle(const AsGraph& graph) {
+  // Kahn from the leaves up: an AS drains once all its customers have.
+  // An AS that never drains keeps an undrained customer, so walking
+  // undrained customer edges from one must revisit an AS.
+  const std::vector<Asn> asns = graph.all_asns();
+  std::unordered_map<Asn, std::size_t> pending;
+  pending.reserve(asns.size());
+  std::vector<Asn> drained;
+  for (const Asn asn : asns) {
+    const std::size_t customers = graph.customers(asn).size();
+    pending.emplace(asn, customers);
+    if (customers == 0) drained.push_back(asn);
+  }
+  for (std::size_t head = 0; head < drained.size(); ++head) {
+    for (const Asn provider : graph.providers(drained[head])) {
+      if (--pending[provider] == 0) drained.push_back(provider);
+    }
+  }
+  if (drained.size() == asns.size()) return {};
+
+  Asn cur = 0;
+  for (const Asn asn : asns) {
+    if (pending[asn] != 0) {
+      cur = asn;
+      break;
+    }
+  }
+  std::unordered_map<Asn, std::size_t> position;
+  std::vector<Asn> walk;
+  while (position.emplace(cur, walk.size()).second) {
+    walk.push_back(cur);
+    for (const Asn customer : graph.customers(cur)) {
+      if (pending[customer] != 0) {
+        cur = customer;
+        break;
+      }
+    }
+  }
+  return {walk.begin() + static_cast<std::ptrdiff_t>(position[cur]),
+          walk.end()};
+}
+
+std::string describe_customer_cycle(const std::vector<Asn>& cycle) {
+  std::string out = "customer-provider cycle:";
+  for (const Asn asn : cycle) out += " AS" + std::to_string(asn) + " ->";
+  return out + " AS" + std::to_string(cycle.front());
+}
 
 }  // namespace rovista::topology

@@ -112,4 +112,14 @@ class AsGraph {
   static const std::vector<Asn> kEmpty;
 };
 
+/// The ASes on one customer-provider cycle, each a provider of the next
+/// and the last a provider of the first; empty when the p2c edges form a
+/// DAG. Gao–Rexford routing has no stable state to converge to on a
+/// cycle, so the CAIDA loader and the routing engine refuse such graphs.
+std::vector<Asn> find_customer_cycle(const AsGraph& graph);
+
+/// "customer-provider cycle: AS1 -> AS2 -> AS3 -> AS1" for a non-empty
+/// find_customer_cycle() result; each arrow points provider -> customer.
+std::string describe_customer_cycle(const std::vector<Asn>& cycle);
+
 }  // namespace rovista::topology

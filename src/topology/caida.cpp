@@ -185,17 +185,24 @@ CaidaResult load_caida_text(std::string_view text) {
     return result;
   }
 
+  AsGraph graph;
   for (const Asn asn : order) {
-    result.graph.add_as(synthesize_info(asn, synthesize_tier(degrees[asn])));
+    graph.add_as(synthesize_info(asn, synthesize_tier(degrees[asn])));
   }
   for (const Record& rec : records) {
     // Duplicate pairs were rejected above, so these cannot fail.
     if (rec.rel == -1) {
-      result.graph.add_p2c(rec.a, rec.b);
+      graph.add_p2c(rec.a, rec.b);
     } else {
-      result.graph.add_p2p(rec.a, rec.b);
+      graph.add_p2p(rec.a, rec.b);
     }
   }
+  if (const std::vector<Asn> cycle = find_customer_cycle(graph);
+      !cycle.empty()) {
+    result.error = describe_customer_cycle(cycle);
+    return result;
+  }
+  result.graph = std::move(graph);
   result.stats.as_count = result.graph.size();
   result.ok = true;
   return result;

@@ -28,7 +28,9 @@ struct CaidaStats {
 };
 
 /// Result of a load attempt. On failure `ok` is false, `graph` is empty
-/// and `error` names the first offending line ("line 17: ...").
+/// and `error` names the first offending line ("line 17: ...") or the
+/// whole-file rule that failed ("no relationship records",
+/// "customer-provider cycle: AS1 -> AS2 -> AS3 -> AS1").
 struct CaidaResult {
   bool ok = false;
   AsGraph graph;
@@ -37,8 +39,8 @@ struct CaidaResult {
 };
 
 /// Parse serial-2 text (grammar: docs/FORMATS.md §4.1). Strict: unknown
-/// relationship codes, non-decimal ASNs, self-edges and duplicate edges
-/// all fail the whole load.
+/// relationship codes, non-decimal ASNs, self-edges, duplicate edges and
+/// customer-provider cycles all fail the whole load.
 CaidaResult load_caida_text(std::string_view text);
 
 /// Read `path` and parse it; I/O failures report as `ok == false` with
@@ -48,8 +50,9 @@ CaidaResult load_caida_file(const std::string& path);
 /// Canonical serializer (docs/FORMATS.md §4.2): p2c records sorted by
 /// (provider, customer), then p2p records with the lower ASN first sorted
 /// by (low, high); no comments, no source fields, LF line endings.
-/// load(write(g)) succeeds for every graph, and write∘load is a fixed
-/// point on its own output — the property the fuzz battery enforces.
+/// load(write(g)) succeeds for every acyclic graph, and write∘load is a
+/// fixed point on its own output — the property the fuzz battery
+/// enforces.
 std::string write_caida_text(const AsGraph& graph);
 
 }  // namespace rovista::topology

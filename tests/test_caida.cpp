@@ -157,6 +157,22 @@ TEST(CaidaLoad, EmptyInputsReport) {
   EXPECT_NE(missing.error.find("/nonexistent/rel.txt"), std::string::npos);
 }
 
+TEST(CaidaLoad, RejectsCustomerProviderCycle) {
+  // A whole-file rule, so no line prefix. AS 5 sits above the cycle and
+  // AS 9 below it, and a peering edge crosses it: the diagnostic names
+  // exactly the ASes on the cycle, provider -> customer.
+  const CaidaResult r = load_caida_text(
+      "5|1|-1\n1|2|-1\n2|3|-1\n1|7|0\n3|9|-1\n3|1|-1\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "customer-provider cycle: AS1 -> AS2 -> AS3 -> AS1");
+  EXPECT_EQ(r.graph.size(), 0u);
+  // The same edges with 1 -> 3 instead of 3 -> 1 form a diamond, not a
+  // cycle.
+  EXPECT_TRUE(
+      load_caida_text("5|1|-1\n1|2|-1\n2|3|-1\n1|7|0\n3|9|-1\n1|3|-1\n")
+          .ok);
+}
+
 TEST(CaidaLoad, LabelSynthesisIsPureInAsn) {
   // The same ASN must get identical labels regardless of which file it
   // appears in or which edges surround it — only the tier may differ

@@ -1,25 +1,24 @@
 // Flat-engine equivalence and substrate tests (bgp/flat_propagation.h,
 // DESIGN.md "Rank-flattened propagation").
 //
-// The contract under test: set_propagation_engine(kFlat) and
-// kFixedPoint produce bit-identical RouteMaps on every world where the
-// flat engine certifies (and the flat engine *must* certify on cycle-
-// free worlds — the flat_certified_count() assertions keep these tests
-// from passing vacuously through silent fallback). Alongside the
+// The contract under test: every RouteMap the production RoutingSystem
+// computes is bit-identical to the Adj-RIB-In fixed point
+// (propagation_oracle.h) on the same configuration. Alongside the
 // equivalence axis: tie-break pins for each comparator level, rank
-// invariants of the flattened graph, the refusal path on customer-
-// provider cycles, arena epoch-reuse determinism, and the BatchedLpm
-// vs PrefixTrie oracle.
+// invariants of the flattened graph, the refusal of customer-provider
+// cycles, arena epoch-reuse determinism, and the BatchedLpm vs
+// PrefixTrie oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "bgp/flat_propagation.h"
 #include "bgp/routing_system.h"
 #include "net/batched_lpm.h"
 #include "net/prefix_trie.h"
+#include "propagation_oracle.h"
 #include "rpki/validation.h"
 #include "scenario/scenario.h"
 #include "topology/as_graph.h"
@@ -30,7 +29,6 @@
 namespace rovista {
 namespace {
 
-using bgp::PropagationEngine;
 using bgp::RouteEntry;
 using bgp::RouteMap;
 using net::Ipv4Address;
@@ -46,14 +44,16 @@ Ipv4Prefix pfx(const char* s) {
   return *p;
 }
 
-void expect_routes_equal(bgp::RoutingSystem& flat, bgp::RoutingSystem& exact,
-                         const Ipv4Prefix& prefix) {
-  const RouteMap& rf = flat.routes_for(prefix);
-  const RouteMap& re = exact.routes_for(prefix);
-  ASSERT_EQ(rf.size(), re.size()) << prefix.to_string();
-  for (const auto& [asn, e] : re) {
-    const auto it = rf.find(asn);
-    ASSERT_NE(it, rf.end()) << prefix.to_string() << " @ AS" << asn;
+// The production routes for `prefix` must equal the oracle's, entry by
+// entry.
+void expect_matches_oracle(bgp::RoutingSystem& routing,
+                           const Ipv4Prefix& prefix) {
+  const RouteMap& got = routing.routes_for(prefix);
+  const RouteMap want = test::fixed_point_routes(routing, prefix);
+  ASSERT_EQ(got.size(), want.size()) << prefix.to_string();
+  for (const auto& [asn, e] : want) {
+    const auto it = got.find(asn);
+    ASSERT_NE(it, got.end()) << prefix.to_string() << " @ AS" << asn;
     const RouteEntry& f = it->second;
     EXPECT_EQ(f.next_hop, e.next_hop) << prefix.to_string() << " @ " << asn;
     EXPECT_EQ(f.origin, e.origin) << prefix.to_string() << " @ " << asn;
@@ -80,36 +80,23 @@ scenario::ScenarioParams equivalence_params() {
   return params;
 }
 
-// Two scenarios from identical params diverge only in the propagation
-// engine; every AS /16 plus every tNode prefix must agree at every date
-// (the dates cross ROV enablements, the invalid surge and MOAS churn).
+// Every AS /16 plus every tNode prefix must match the oracle at every
+// date (the dates cross ROV enablements, the invalid surge and MOAS
+// churn).
 void expect_scenario_equivalence(const scenario::ScenarioParams& params,
                                  const std::vector<util::Date>& dates) {
-  scenario::Scenario flat(params);
-  scenario::Scenario exact(params);
-  flat.routing().set_propagation_engine(PropagationEngine::kFlat);
-  exact.routing().set_propagation_engine(PropagationEngine::kFixedPoint);
-
+  scenario::Scenario s(params);
   for (const util::Date date : dates) {
-    flat.advance_to(date);
-    exact.advance_to(date);
-    for (const Asn asn : flat.graph().all_asns()) {
-      expect_routes_equal(flat.routing(), exact.routing(),
-                          flat.as_prefix(asn));
+    s.advance_to(date);
+    for (const Asn asn : s.graph().all_asns()) {
+      expect_matches_oracle(s.routing(), s.as_prefix(asn));
       if (::testing::Test::HasFatalFailure()) return;
     }
-    for (const auto& [prefix, origin] : flat.tnode_prefixes()) {
-      expect_routes_equal(flat.routing(), exact.routing(), prefix);
+    for (const auto& [prefix, origin] : s.tnode_prefixes()) {
+      expect_matches_oracle(s.routing(), prefix);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-
-  // Anti-vacuity: the flat engine genuinely computed (scenario worlds
-  // are cycle-free, so it must never fall back), and the exact system
-  // never touched the flat path.
-  EXPECT_GT(flat.routing().flat_certified_count(), 0u);
-  EXPECT_EQ(flat.routing().flat_fallback_count(), 0u);
-  EXPECT_EQ(exact.routing().flat_certified_count(), 0u);
 }
 
 TEST(FlatEquivalence, SeedScenarioAcrossTimeline) {
@@ -149,8 +136,9 @@ TEST(FlatEquivalence, FaultDegradedWorld) {
 // -- Tie-break pins ----------------------------------------------------
 //
 // One hand-built graph per comparator level. Each pin asserts the
-// expected winner on BOTH engines, so a tie-break regression cannot
-// hide behind the equivalence check agreeing on the wrong answer.
+// expected winner on the production engine as well as equality with the
+// oracle, so a tie-break regression cannot hide behind both agreeing on
+// the wrong answer.
 
 AsInfo as_info(Asn asn, int tier) {
   AsInfo info;
@@ -160,35 +148,16 @@ AsInfo as_info(Asn asn, int tier) {
   return info;
 }
 
-struct EnginePair {
-  bgp::RoutingSystem flat;
-  bgp::RoutingSystem exact;
-
-  explicit EnginePair(const AsGraph& graph) : flat(graph), exact(graph) {
-    flat.set_propagation_engine(PropagationEngine::kFlat);
-    exact.set_propagation_engine(PropagationEngine::kFixedPoint);
-  }
-
-  void announce(const Ipv4Prefix& prefix, Asn origin) {
-    flat.announce({prefix, origin});
-    exact.announce({prefix, origin});
-  }
-
-  // The pinned winner, checked on both engines plus full-map equality.
-  void expect_best(const Ipv4Prefix& prefix, Asn at, Asn next_hop,
-                   NeighborKind learned_from, std::uint16_t path_len) {
-    expect_routes_equal(flat, exact, prefix);
-    for (bgp::RoutingSystem* sys : {&flat, &exact}) {
-      const RouteEntry* e = sys->route_at(at, prefix);
-      ASSERT_NE(e, nullptr);
-      EXPECT_EQ(e->next_hop, next_hop);
-      EXPECT_EQ(e->learned_from, learned_from);
-      EXPECT_EQ(e->path_len, path_len);
-    }
-    EXPECT_GT(flat.flat_certified_count(), 0u);
-    EXPECT_EQ(flat.flat_fallback_count(), 0u);
-  }
-};
+void expect_best(bgp::RoutingSystem& routing, const Ipv4Prefix& prefix,
+                 Asn at, Asn next_hop, NeighborKind learned_from,
+                 std::uint16_t path_len) {
+  expect_matches_oracle(routing, prefix);
+  const RouteEntry* e = routing.route_at(at, prefix);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->next_hop, next_hop);
+  EXPECT_EQ(e->learned_from, learned_from);
+  EXPECT_EQ(e->path_len, path_len);
+}
 
 TEST(FlatTieBreak, LocalPreferenceCustomerBeatsPeerBeatsProvider) {
   // 60 reaches origin 9 three ways: via customer 10, via peer 20, via
@@ -202,15 +171,15 @@ TEST(FlatTieBreak, LocalPreferenceCustomerBeatsPeerBeatsProvider) {
   for (const Asn mid : {10u, 20u, 30u}) g.add_p2c(mid, 9);
 
   const Ipv4Prefix p = pfx("203.0.113.0/24");
-  EnginePair sys(g);
-  sys.announce(p, 9);
-  sys.expect_best(p, 60, 10, NeighborKind::kCustomer, 3);
+  bgp::RoutingSystem sys(g);
+  sys.announce({p, 9});
+  expect_best(sys, p, 60, 10, NeighborKind::kCustomer, 3);
 
   AsGraph g2 = g;
   g2.remove_edge(60, 10);
-  EnginePair sys2(g2);
-  sys2.announce(p, 9);
-  sys2.expect_best(p, 60, 20, NeighborKind::kPeer, 3);
+  bgp::RoutingSystem sys2(g2);
+  sys2.announce({p, 9});
+  expect_best(sys2, p, 60, 20, NeighborKind::kPeer, 3);
 }
 
 TEST(FlatTieBreak, ShorterPathWinsWithinClass) {
@@ -225,9 +194,9 @@ TEST(FlatTieBreak, ShorterPathWinsWithinClass) {
   g.add_p2c(21, 9);
 
   const Ipv4Prefix p = pfx("203.0.113.0/24");
-  EnginePair sys(g);
-  sys.announce(p, 9);
-  sys.expect_best(p, 60, 10, NeighborKind::kCustomer, 3);
+  bgp::RoutingSystem sys(g);
+  sys.announce({p, 9});
+  expect_best(sys, p, 60, 10, NeighborKind::kCustomer, 3);
 }
 
 TEST(FlatTieBreak, LowestNextHopBreaksFullTies) {
@@ -242,9 +211,9 @@ TEST(FlatTieBreak, LowestNextHopBreaksFullTies) {
   g.add_p2c(3, 9);
 
   const Ipv4Prefix p = pfx("203.0.113.0/24");
-  EnginePair sys(g);
-  sys.announce(p, 9);
-  sys.expect_best(p, 60, 3, NeighborKind::kCustomer, 3);
+  bgp::RoutingSystem sys(g);
+  sys.announce({p, 9});
+  expect_best(sys, p, 60, 3, NeighborKind::kCustomer, 3);
 }
 
 TEST(FlatTieBreak, PreferValidOutranksPathLength) {
@@ -264,20 +233,17 @@ TEST(FlatTieBreak, PreferValidOutranksPathLength) {
 
   for (const bgp::RovMode mode :
        {bgp::RovMode::kNone, bgp::RovMode::kPreferValid}) {
-    EnginePair sys(g);
-    for (bgp::RoutingSystem* s : {&sys.flat, &sys.exact}) {
-      rpki::VrpSet copy = vrps;
-      s->set_vrps(std::move(copy));
-      bgp::AsPolicy policy;
-      policy.rov = mode;
-      s->set_policy(60, policy);
-    }
-    sys.announce(p, 9);
-    sys.announce(p, 8);
+    bgp::RoutingSystem sys(g);
+    sys.set_vrps(vrps);
+    bgp::AsPolicy policy;
+    policy.rov = mode;
+    sys.set_policy(60, policy);
+    sys.announce({p, 9});
+    sys.announce({p, 8});
     if (mode == bgp::RovMode::kNone) {
-      sys.expect_best(p, 60, 8, NeighborKind::kCustomer, 2);
+      expect_best(sys, p, 60, 8, NeighborKind::kCustomer, 2);
     } else {
-      sys.expect_best(p, 60, 10, NeighborKind::kCustomer, 4);
+      expect_best(sys, p, 60, 10, NeighborKind::kCustomer, 4);
     }
   }
 }
@@ -293,8 +259,6 @@ TEST(FlatGraph, RankAndUpOrderInvariants) {
   util::Rng rng(77);
   const AsGraph g = topology::generate_topology(params, rng);
   const bgp::flat::FlatGraph fg = bgp::flat::FlatGraph::build(g);
-
-  ASSERT_FALSE(fg.customer_cycle);
   ASSERT_EQ(fg.size(), g.size());
 
   // Every provider ranks strictly above each of its customers.
@@ -322,26 +286,32 @@ TEST(FlatGraph, RankAndUpOrderInvariants) {
   }
 }
 
-TEST(FlatGraph, CustomerCycleRefusesAndFallsBack) {
-  // 1 -> 2 -> 3 -> 1 as a provider cycle: no rank order exists. The
-  // flat build must flag it, and a kFlat RoutingSystem must still serve
-  // correct routes by falling back to the fixed point.
+TEST(FlatGraph, CustomerCycleThrowsNamingEveryAs) {
+  // 1 -> 2 -> 3 (providers to customers) converges; adding 3 -> 1
+  // closes a provider cycle, which has no rank order and no Gao–Rexford
+  // stable state. Relationship edits reach the engine through the
+  // invalidate_all fence, so the refusal must come from the recompiled
+  // graph, not only from a load-time check.
   AsGraph g;
   for (const Asn a : {1u, 2u, 3u, 9u}) g.add_as(as_info(a, 2));
   g.add_p2c(1, 2);
   g.add_p2c(2, 3);
-  g.add_p2c(3, 1);
   g.add_p2c(3, 9);
 
-  const bgp::flat::FlatGraph fg = bgp::flat::FlatGraph::build(g);
-  EXPECT_TRUE(fg.customer_cycle);
-
   const Ipv4Prefix p = pfx("203.0.113.0/24");
-  EnginePair sys(g);
-  sys.announce(p, 9);
-  expect_routes_equal(sys.flat, sys.exact, p);
-  EXPECT_EQ(sys.flat.flat_certified_count(), 0u);
-  EXPECT_GT(sys.flat.flat_fallback_count(), 0u);
+  bgp::RoutingSystem sys(g);
+  sys.announce({p, 9});
+  EXPECT_EQ(sys.routes_for(p).size(), 4u);
+
+  g.add_p2c(3, 1);
+  sys.invalidate_all();
+  EXPECT_EQ(topology::find_customer_cycle(g), (std::vector<Asn>{1, 2, 3}));
+  try {
+    sys.routes_for(p);
+    ADD_FAILURE() << "routes_for converged a graph with a provider cycle";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "customer-provider cycle: AS1 -> AS2 -> AS3 -> AS1");
+  }
 }
 
 // -- Arena epoch reuse -------------------------------------------------

@@ -14,9 +14,6 @@
 #include <sstream>
 #include <string>
 
-#include <atomic>
-#include <memory>
-
 #include "core/parallel_round.h"
 #include "round_fixture.h"
 #include "snapshot/world_source.h"
@@ -115,93 +112,6 @@ TEST(GoldenRound, SnapshotEngineMatchesSameGolden) {
   EXPECT_EQ(want.str(), got)
       << "snapshot engine diverged from the golden scores the replica "
          "engine produces";
-}
-
-// A ScenarioReplica-alike that forces the rank-flattened propagation
-// engine before any route is demanded, and reports how many prefixes
-// the flat path certified when it dies (proof the axis was not vacuous).
-class FlatReplica final : public core::MeasurementReplica {
- public:
-  FlatReplica(const scenario::ScenarioParams& params, util::Date date,
-              std::shared_ptr<std::atomic<std::uint64_t>> certified)
-      : scenario_(params), certified_(std::move(certified)) {
-    scenario_.routing().set_propagation_engine(bgp::PropagationEngine::kFlat);
-    scenario_.advance_to(date);
-    client_a_ = std::make_unique<scan::MeasurementClient>(
-        scenario_.plane(), scenario_.client_as_a(), scenario_.client_addr_a());
-    client_b_ = std::make_unique<scan::MeasurementClient>(
-        scenario_.plane(), scenario_.client_as_b(), scenario_.client_addr_b());
-  }
-
-  ~FlatReplica() override {
-    *certified_ += scenario_.routing().flat_certified_count();
-  }
-
-  dataplane::DataPlane& plane() override { return scenario_.plane(); }
-  scan::MeasurementClient& client() override { return *client_a_; }
-
- private:
-  scenario::Scenario scenario_;
-  std::shared_ptr<std::atomic<std::uint64_t>> certified_;
-  std::unique_ptr<scan::MeasurementClient> client_a_;
-  std::unique_ptr<scan::MeasurementClient> client_b_;
-};
-
-// Third axis: forcing the flat engine end to end — through discovery
-// AND measurement — must reproduce the same golden CSV bytes. With the
-// fixture's world below kFlatAutoThreshold, kAuto never exercises the
-// flat path here; forcing it pins the engines' equivalence at the
-// score level, not just the RouteMap level.
-TEST(GoldenRound, FlatEngineMatchesSameGolden) {
-  const scenario::ScenarioParams params = testfx::round_params();
-  const util::Date date = testfx::round_date(params);
-  const core::RovistaConfig config = testfx::round_config();
-
-  // Discovery on a throwaway flat-forced world (mirrors
-  // testfx::acquire_round_inputs).
-  scenario::Scenario s(params);
-  s.routing().set_propagation_engine(bgp::PropagationEngine::kFlat);
-  s.advance_to(date);
-  scan::MeasurementClient client_a(s.plane(), s.client_as_a(),
-                                   s.client_addr_a());
-  scan::MeasurementClient client_b(s.plane(), s.client_as_b(),
-                                   s.client_addr_b());
-  core::Rovista rovista(s.plane(), client_a, client_b, config);
-  const auto snapshot = s.collector().snapshot(s.routing());
-  const std::vector<scan::Tnode> tnodes = rovista.acquire_tnodes(
-      snapshot, s.current_vrps(), s.rov_reference_ases(s.current(), 10),
-      s.non_rov_reference_ases(s.current(), 10));
-  const std::vector<scan::Vvp> vvps = rovista.acquire_vvps(s.vvp_candidates());
-  ASSERT_FALSE(vvps.empty());
-  ASSERT_FALSE(tnodes.empty());
-  EXPECT_GT(s.routing().flat_certified_count(), 0u);
-  EXPECT_EQ(s.routing().flat_fallback_count(), 0u);
-
-  const auto certified = std::make_shared<std::atomic<std::uint64_t>>(0);
-  core::ParallelRoundConfig round_config;
-  round_config.experiment = config.experiment;
-  round_config.scoring = config.scoring;
-  round_config.num_threads = 0;
-  const core::ParallelRoundRunner runner(
-      [params, date, certified] {
-        return std::unique_ptr<core::MeasurementReplica>(
-            std::make_unique<FlatReplica>(params, date, certified));
-      },
-      round_config);
-  const core::MeasurementRound round = runner.run(vvps, tnodes);
-  ASSERT_FALSE(round.scores.empty());
-  const std::string got = render_scores(round.scores);
-
-  const std::string path =
-      std::string(ROVISTA_TEST_DATA_DIR) + "/golden_round_scores.csv";
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing golden file " << path;
-  std::stringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(want.str(), got)
-      << "flat propagation engine diverged from the golden scores the "
-         "fixed-point engine produces";
-  EXPECT_GT(certified->load(), 0u);
 }
 
 }  // namespace

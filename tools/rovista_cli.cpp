@@ -29,14 +29,18 @@
 // behind it.
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include <fstream>
 
@@ -72,10 +76,22 @@ struct Args {
   bool has(const char* key) const { return options.count(key) != 0; }
 };
 
-Args parse_args(int argc, char** argv, int from) {
+/// Parse `--flag [value]` options for `command`, which accepts exactly
+/// the flag names in `accepted`. Any other flag is refused with a
+/// one-line error (nullopt; the caller exits 2): a silently ignored
+/// flag would run a different configuration than the one asked for.
+std::optional<Args> parse_args(int argc, char** argv, int from,
+                               const char* command,
+                               std::span<const std::string_view> accepted) {
   Args args;
   for (int i = from; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const std::string_view name = argv[i] + 2;
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      std::fprintf(stderr, "error: unknown flag %s for %s\n", argv[i],
+                   command);
+      return std::nullopt;
+    }
     // A flag followed by another flag (or nothing) is a bare switch,
     // e.g. --resume; otherwise the next token is its value.
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
@@ -145,23 +161,6 @@ bool parse_topology(const Args& args, scenario::ScenarioParams& params) {
   return false;
 }
 
-/// --propagation auto|fixed-point|flat (default auto): which route
-/// propagation engine the discovery world uses (bgp/routing_system.h).
-/// Outputs are engine-invariant — the flat engine is certified
-/// bit-identical per prefix or falls back — so this is a performance
-/// and diagnostics knob, like --engine.
-std::optional<bgp::PropagationEngine> parse_propagation(const Args& args) {
-  const char* v = args.get("propagation", "auto");
-  if (std::strcmp(v, "auto") == 0) return bgp::PropagationEngine::kAuto;
-  if (std::strcmp(v, "fixed-point") == 0) {
-    return bgp::PropagationEngine::kFixedPoint;
-  }
-  if (std::strcmp(v, "flat") == 0) return bgp::PropagationEngine::kFlat;
-  std::fprintf(stderr,
-               "error: --propagation must be auto, fixed-point or flat\n");
-  return std::nullopt;
-}
-
 int usage() {
   std::fprintf(
       stderr,
@@ -169,7 +168,6 @@ int usage() {
       "  measure --seed N --date YYYY-MM-DD --out DIR [--mrt FILE]\n"
       "          [--threads N] [--engine snapshot|replica]\n"
       "          [--topology caida:FILE|synthetic:FACTOR]\n"
-      "          [--propagation auto|fixed-point|flat]\n"
       "          run one round, publish scores, optionally archive the\n"
       "          collector table as an MRT TABLE_DUMP_V2 file;\n"
       "          --threads shards the round by vVP across worker\n"
@@ -181,10 +179,7 @@ int usage() {
       "          serial-2 as-rel file (docs/FORMATS.md section 4) or a\n"
       "          scaled synthetic world (FACTOR 1..64 multiplies transit\n"
       "          and stub counts; measure worlds cap at ~32.5k ASes —\n"
-      "          factor <= 6 on default tiers); --propagation picks the\n"
-      "          route engine\n"
-      "          (auto switches to the rank-flattened engine at 8192+\n"
-      "          ASes; scores are engine-invariant, see DESIGN.md)\n"
+      "          factor <= 6 on default tiers)\n"
       "  query   --dir DIR [--asn N]                    read a dataset\n"
       "  audit   --seed N --asn N [--date YYYY-MM-DD]   audit one AS\n"
       "  longitudinal --seed N --rounds N [--interval-days N]\n"
@@ -278,13 +273,10 @@ struct MeasuredWorld {
 };
 
 MeasuredWorld build_world(scenario::ScenarioParams params, util::Date date,
-                          int num_threads = 0,
-                          bgp::PropagationEngine propagation =
-                              bgp::PropagationEngine::kAuto) {
+                          int num_threads = 0) {
   MeasuredWorld world;
   world.params = params;
   world.scenario = std::make_unique<scenario::Scenario>(std::move(params));
-  world.scenario->routing().set_propagation_engine(propagation);
   if (date < world.scenario->start()) date = world.scenario->start();
   if (date > world.scenario->end()) date = world.scenario->end();
   world.scenario->advance_to(date);
@@ -320,17 +312,14 @@ int cmd_measure(const Args& args) {
   if (const char* t = args.get("threads")) util::parse_u64(t, threads);
   const std::optional<snapshot::EngineMode> engine = parse_engine(args);
   if (!engine.has_value()) return usage();
-  const std::optional<bgp::PropagationEngine> propagation =
-      parse_propagation(args);
-  if (!propagation.has_value()) return usage();
   scenario::ScenarioParams params;
   params.seed = seed;
   if (!parse_topology(args, params)) return usage();
 
   std::printf("building world (seed %llu) ...\n",
               static_cast<unsigned long long>(seed));
-  MeasuredWorld world = build_world(std::move(params), date,
-                                    static_cast<int>(threads), *propagation);
+  MeasuredWorld world =
+      build_world(std::move(params), date, static_cast<int>(threads));
   std::printf("ASes: %zu, tNodes: %zu\n", world.scenario->graph().size(),
               world.tnodes.size());
   const auto vvps =
@@ -1193,25 +1182,53 @@ int cmd_feedcheck(const Args& args) {
   return 0;
 }
 
+// Every subcommand with the flags it reads; parse_args refuses the rest.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const Command kCommands[] = {
+    {"measure", cmd_measure,
+     {"seed", "date", "out", "threads", "engine", "topology", "mrt"}},
+    {"query", cmd_query, {"dir", "asn"}},
+    {"audit", cmd_audit, {"seed", "asn", "date"}},
+    {"longitudinal", cmd_longitudinal,
+     {"seed", "rounds", "interval-days", "start", "threads", "incremental",
+      "engine", "out", "publish", "scale", "slurm-fraction",
+      "rp-failure-rate", "rp-divergence-fraction", "rtr-drop-rate",
+      "checkpoint-dir", "checkpoint-every", "resume", "archive",
+      "die-after"}},
+    {"analyze", cmd_analyze,
+     {"archive", "query", "threshold", "asn", "low", "high", "out",
+      "publish"}},
+    {"checkpoint inspect", cmd_checkpoint_inspect, {"dir", "file"}},
+    {"serve", cmd_serve,
+     {"seed", "rounds", "interval-days", "start", "scale", "port", "workers",
+      "threads", "publish", "warn-depth", "checkpoint-dir",
+      "checkpoint-every", "resume", "archive"}},
+    {"loadgen", cmd_loadgen,
+     {"port", "host", "requests", "connections", "threads", "rate",
+      "pipeline", "traj-fraction", "reach-fraction", "seed", "reach-dst",
+      "reach-port", "timeout-ms", "record", "json"}},
+    {"feedcheck", cmd_feedcheck, {"record", "published"}},
+};
+
 }  // namespace
 
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
-  if (std::strcmp(argv[1], "checkpoint") == 0) {
-    if (argc < 3 || std::strcmp(argv[2], "inspect") != 0) return usage();
-    return cmd_checkpoint_inspect(parse_args(argc, argv, 3));
+  // "checkpoint inspect" is the one two-word command.
+  const bool two_words = argc > 2 && std::strcmp(argv[1], "checkpoint") == 0 &&
+                         std::strcmp(argv[2], "inspect") == 0;
+  const std::string name = two_words ? "checkpoint inspect" : argv[1];
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    const std::optional<Args> args =
+        parse_args(argc, argv, two_words ? 3 : 2, command.name, command.flags);
+    return args.has_value() ? command.run(*args) : 2;
   }
-  const Args args = parse_args(argc, argv, 2);
-  if (std::strcmp(argv[1], "measure") == 0) return cmd_measure(args);
-  if (std::strcmp(argv[1], "query") == 0) return cmd_query(args);
-  if (std::strcmp(argv[1], "audit") == 0) return cmd_audit(args);
-  if (std::strcmp(argv[1], "longitudinal") == 0) {
-    return cmd_longitudinal(args);
-  }
-  if (std::strcmp(argv[1], "analyze") == 0) return cmd_analyze(args);
-  if (std::strcmp(argv[1], "serve") == 0) return cmd_serve(args);
-  if (std::strcmp(argv[1], "loadgen") == 0) return cmd_loadgen(args);
-  if (std::strcmp(argv[1], "feedcheck") == 0) return cmd_feedcheck(args);
   return usage();
 }
 
