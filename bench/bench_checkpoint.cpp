@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "core/incremental_runner.h"
+#include "incremental/longitudinal_engine.h"
 #include "persist/checkpoint.h"
 #include "persist/checkpoint_io.h"
 
@@ -55,8 +55,8 @@ scenario::ScenarioParams fixture_params() {
   return params;
 }
 
-core::IncrementalConfig engine_config() {
-  core::IncrementalConfig config;
+incremental::IncrementalConfig engine_config() {
+  incremental::IncrementalConfig config;
   config.params = fixture_params();
   config.rovista.scoring.min_vvps_per_as = 2;
   config.rovista.scoring.min_tnodes = 2;
@@ -98,7 +98,7 @@ struct RoundSample {
 }  // namespace
 
 int main() {
-  const core::IncrementalConfig config = engine_config();
+  const incremental::IncrementalConfig config = engine_config();
   std::vector<util::Date> dates;
   for (int i = 0; i < kRounds; ++i) {
     dates.push_back(config.params.start + 150 + i * kIntervalDays);
@@ -112,9 +112,9 @@ int main() {
   fs::remove_all(ckdir);
 
   // Uninterrupted series, with per-round checkpoint cost accounting.
-  core::IncrementalLongitudinalRunner uninterrupted(config);
+  incremental::IncrementalLongitudinalRunner uninterrupted(config);
   std::vector<RoundSample> samples;
-  std::vector<core::RoundReport> reports;
+  std::vector<incremental::RoundReport> reports;
   double cold_prefix_s = 0.0;  // measurement time of the resumed-over rounds
   for (int i = 0; i < kRounds; ++i) {
     RoundSample s;
@@ -160,14 +160,14 @@ int main() {
     std::fprintf(stderr, "FAIL: frozen checkpoint does not decode\n");
     return 1;
   }
-  core::IncrementalLongitudinalRunner resumed(config);
+  incremental::IncrementalLongitudinalRunner resumed(config);
   if (!resumed.restore(*state)) {
     std::fprintf(stderr, "FAIL: restore refused a valid checkpoint\n");
     return 1;
   }
   const double resume_s = seconds_since(t);
 
-  const core::RoundReport last =
+  const incremental::RoundReport last =
       resumed.run_round(dates[static_cast<std::size_t>(kRounds - 1)]);
   const bool identical =
       rounds_identical(reports.back().round, last.round);

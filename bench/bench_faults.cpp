@@ -41,8 +41,8 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/incremental_runner.h"
 #include "faults/fault_chain.h"
+#include "incremental/longitudinal_engine.h"
 
 namespace {
 
@@ -92,9 +92,9 @@ scenario::ScenarioParams faulted_params() {
   return params;
 }
 
-core::IncrementalConfig engine_config(const scenario::ScenarioParams& params,
-                                      bool incremental) {
-  core::IncrementalConfig config;
+incremental::IncrementalConfig engine_config(
+    const scenario::ScenarioParams& params, bool incremental) {
+  incremental::IncrementalConfig config;
   config.params = params;
   config.rovista.scoring.min_vvps_per_as = 2;
   config.rovista.scoring.min_tnodes = 2;
@@ -146,11 +146,11 @@ std::vector<util::Date> round_dates(const scenario::ScenarioParams& params) {
 
 // Generous upper bounds on how often a single engine round exercises the
 // idle fault machinery. Per round the engine advances the tracking world
-// once, (re)builds at most one acquisition world (ctor + one jump
-// advance), and constructs one replica world per thread (ctor + one jump
-// advance each): ≤ 5 constructions and ≤ 11 advances at kThreads=4.
-// Rounded up further so the composed ratio stays an upper bound even if
-// the engine grows more hook sites.
+// once and publishes one epoch; its discovery and measurement readers
+// construct and advance no worlds. The bounds below sit far above that
+// (they also cover one acquisition world and one world per thread, ≤ 5
+// constructions and ≤ 11 advances at kThreads=4), so the composed ratio
+// stays an upper bound even if the engine grows more hook sites.
 constexpr int kIdleWorldsPerRound = 8;
 constexpr int kIdleAdvancesPerRound = 24;
 
@@ -224,7 +224,7 @@ struct OverheadResult {
 
 // Wall seconds for one full kRounds engine series from a cold runner.
 double engine_series_seconds(const scenario::ScenarioParams& params) {
-  core::IncrementalLongitudinalRunner runner(
+  incremental::IncrementalLongitudinalRunner runner(
       engine_config(params, /*incremental=*/true));
   const auto start = Clock::now();
   for (const util::Date date : round_dates(params)) runner.run_round(date);
@@ -246,14 +246,14 @@ OverheadResult measure_overhead() {
 
   // Bit-identity: an armed-but-idle chain may not change a single
   // measured bit, and may not report a degraded round.
-  core::IncrementalLongitudinalRunner knob0(
+  incremental::IncrementalLongitudinalRunner knob0(
       engine_config(fixture_params(), /*incremental=*/true));
-  core::IncrementalLongitudinalRunner armed(
+  incremental::IncrementalLongitudinalRunner armed(
       engine_config(armed_idle_params(), /*incremental=*/true));
   result.identical = true;
   for (const util::Date date : round_dates(fixture_params())) {
-    const core::RoundReport a = knob0.run_round(date);
-    const core::RoundReport b = armed.run_round(date);
+    const incremental::RoundReport a = knob0.run_round(date);
+    const incremental::RoundReport b = armed.run_round(date);
     if (!rounds_identical(a.round, b.round) || b.health.degraded()) {
       result.identical = false;
     }
@@ -313,19 +313,19 @@ struct FaultedResult {
 
 FaultedResult run_faulted() {
   const scenario::ScenarioParams params = faulted_params();
-  core::IncrementalLongitudinalRunner full(
+  incremental::IncrementalLongitudinalRunner full(
       engine_config(params, /*incremental=*/false));
-  core::IncrementalLongitudinalRunner incr(
+  incremental::IncrementalLongitudinalRunner incr(
       engine_config(params, /*incremental=*/true));
 
   FaultedResult result;
   for (const util::Date date : round_dates(params)) {
     auto start = Clock::now();
-    const core::RoundReport full_report = full.run_round(date);
+    const incremental::RoundReport full_report = full.run_round(date);
     const double full_s = seconds_since(start);
 
     start = Clock::now();
-    const core::RoundReport incr_report = incr.run_round(date);
+    const incremental::RoundReport incr_report = incr.run_round(date);
     const double incr_s = seconds_since(start);
 
     RoundSample s;

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/incremental_runner.h"
+#include "incremental/longitudinal_engine.h"
 #include "incremental/vrp_delta.h"
 
 namespace {
@@ -185,17 +185,17 @@ struct ConfigResult {
 ConfigResult run_config(const char* label,
                         const scenario::ScenarioParams& params,
                         util::Date quiet) {
-  core::IncrementalConfig full_config;
+  incremental::IncrementalConfig full_config;
   full_config.params = params;
   full_config.rovista.scoring.min_vvps_per_as = 2;
   full_config.rovista.scoring.min_tnodes = 2;
   full_config.rovista.num_threads = kThreads;
   full_config.incremental = false;
-  core::IncrementalConfig incr_config = full_config;
+  incremental::IncrementalConfig incr_config = full_config;
   incr_config.incremental = true;
 
-  core::IncrementalLongitudinalRunner full(full_config);
-  core::IncrementalLongitudinalRunner incr(incr_config);
+  incremental::IncrementalLongitudinalRunner full(full_config);
+  incremental::IncrementalLongitudinalRunner incr(incr_config);
   ChurnFeed full_feed(full.world());
   ChurnFeed incr_feed(incr.world());
 
@@ -206,11 +206,11 @@ ConfigResult run_config(const char* label,
     incr_feed.publish_round(r, date);
 
     auto start = Clock::now();
-    const core::RoundReport full_report = full.run_round(date);
+    const incremental::RoundReport full_report = full.run_round(date);
     const double full_s = seconds_since(start);
 
     start = Clock::now();
-    const core::RoundReport incr_report = incr.run_round(date);
+    const incremental::RoundReport incr_report = incr.run_round(date);
     const double incr_s = seconds_since(start);
 
     RoundSample s;

@@ -1,9 +1,11 @@
 // bench_parallel_round — serial vs N-thread measurement-round throughput.
 //
 // Runs the standard-fixture round with the serial engine (Rovista::
-// run_round on one fresh replica) and with the parallel engine at 1, 2,
-// 4 and 8 threads, reporting wall time, experiments/second and speedup.
-// Every parallel run is checked bit-identical to the serial round — the
+// run_round on one freshly built world) and with the production engine
+// — a ParallelRoundRunner over readers of one published epoch, after
+// discovery on a reader of it, as `measure` runs — at 1, 2, 4 and 8
+// threads, reporting wall time, experiments/second and speedup. Every
+// parallel run is checked bit-identical to the serial round — the
 // engine's determinism contract — so a reported speedup can never come
 // from silently different work.
 #include <chrono>
@@ -13,6 +15,8 @@
 
 #include "bench/common.h"
 #include "core/parallel_round.h"
+#include "snapshot/epoch_publisher.h"
+#include "snapshot/world_source.h"
 
 namespace {
 
@@ -76,25 +80,16 @@ int main() {
   config.scoring.min_vvps_per_as = 2;
   config.scoring.min_tnodes = 2;
 
-  // Discovery on a throwaway world (mutates host state).
+  // One published epoch; discovery probes a reader of it.
   std::printf("building fixture world (seed %llu) ...\n",
               static_cast<unsigned long long>(params.seed));
-  std::vector<scan::Vvp> vvps;
-  std::vector<scan::Tnode> tnodes;
-  {
-    scenario::Scenario s(params);
-    s.advance_to(date);
-    scan::MeasurementClient client_a(s.plane(), s.client_as_a(),
-                                     s.client_addr_a());
-    scan::MeasurementClient client_b(s.plane(), s.client_as_b(),
-                                     s.client_addr_b());
-    core::Rovista rovista(s.plane(), client_a, client_b, config);
-    const auto snapshot = s.collector().snapshot(s.routing());
-    tnodes = rovista.acquire_tnodes(snapshot, s.current_vrps(),
-                                    s.rov_reference_ases(s.current(), 10),
-                                    s.non_rov_reference_ases(s.current(), 10));
-    vvps = rovista.acquire_vvps(s.vvp_candidates());
-  }
+  snapshot::EpochPublisher publisher(params);
+  publisher.advance_to(date);
+  const snapshot::EpochRef epoch = publisher.publish();
+  const snapshot::RoundInputs inputs =
+      snapshot::acquire_inputs_on_epoch(publisher.world(), epoch, config);
+  const std::vector<scan::Vvp>& vvps = inputs.vvps;
+  const std::vector<scan::Tnode>& tnodes = inputs.tnodes;
   std::printf("fixture: %zu vVPs x %zu tNodes = %zu experiments\n",
               vvps.size(), tnodes.size(), vvps.size() * tnodes.size());
   // Speedup is bounded by physical cores; on a 1-core box every thread
@@ -102,7 +97,7 @@ int main() {
   std::printf("hardware threads available: %u\n",
               std::thread::hardware_concurrency());
 
-  // Serial engine on a fresh replica world.
+  // Serial engine on a freshly built world.
   core::MeasurementRound serial;
   double serial_s = 0.0;
   {
@@ -121,8 +116,7 @@ int main() {
   std::printf("%-10s %8.3f s  %9.1f exp/s  speedup %5.2fx  scores %zu\n",
               "serial", serial_s, total / serial_s, 1.0, serial.scores.size());
 
-  const core::ReplicaFactory factory =
-      scenario::make_replica_factory(params, date);
+  const core::ReplicaFactory factory = snapshot::make_reader_factory(epoch);
   bool all_identical = true;
   for (const int threads : {1, 2, 4, 8}) {
     core::ParallelRoundConfig round_config;

@@ -1,12 +1,12 @@
 // bench_snapshot — epoch-snapshot engine cost model vs the replica
-// baseline: memory per worker, peak resident memory for an 8-thread
+// oracle: memory per worker, peak resident memory for an 8-thread
 // round, and publish latency.
 //
-// The replica engine pays a full private Scenario per worker; the
-// epoch-snapshot engine pays one immutable frozen world per publish
-// plus a thin plane clone per reader. This bench quantifies both sides
-// of that trade on the standard bench fixture and records them in
-// BENCH_snapshot.json:
+// The replica oracle (tests/replica_oracle.h) pays a full private
+// Scenario per worker; the epoch-snapshot engine pays one immutable
+// frozen world per publish plus a thin plane clone per reader. This
+// bench quantifies both sides of that trade on the standard bench
+// fixture and records them in BENCH_snapshot.json:
 //
 //   * bytes held per worker while 8 workers are alive (glibc
 //     mallinfo2 heap delta; 0 on non-glibc builds),
@@ -21,7 +21,7 @@
 //     shares every other RouteMap with the previous epoch and re-digests
 //     only the maps that changed (median reported).
 //
-// Both engines' rounds are checked bit-identical to a serial reference
+// Both phases' rounds are checked bit-identical to a serial reference
 // first; a reported saving can never come from different work.
 #include <chrono>
 #include <cstdio>
@@ -38,6 +38,7 @@
 #include "bench/common.h"
 #include "core/parallel_round.h"
 #include "incremental/longitudinal_engine.h"
+#include "replica_oracle.h"
 #include "snapshot/epoch_publisher.h"
 #include "snapshot/world_source.h"
 
@@ -180,7 +181,7 @@ int main() {
   rovista::bench::print_header(
       "bench_snapshot — epoch-snapshot vs replica memory + publish latency",
       "one frozen world for N readers (DESIGN.md, \"Epoch lifecycle\"): "
-      "8-thread peak RSS target <= 0.5x the replica engine's");
+      "8-thread peak RSS target <= 0.5x the replica oracle's");
 
   const scenario::ScenarioParams params = fixture_params();
   const util::Date date = params.start + 150;
@@ -234,8 +235,8 @@ int main() {
   // -- Setup (unmeasured): build world + publish latency --------------
   //
   // The build world stays alive through both measured phases below: the
-  // longitudinal engine keeps its tracking world regardless of engine,
-  // so it belongs to the common baseline, not to either engine's bill.
+  // longitudinal engine keeps its tracking world for every round, so it
+  // belongs to the common baseline, not to either phase's bill.
   auto setup_start = Clock::now();
   snapshot::EpochPublisher pub(params);
   pub.advance_to(date);
@@ -279,7 +280,7 @@ int main() {
   }
   snap_peak.peak_kb = peak_rss_kb();
 
-  // -- Phase 2: replica engine, 8-thread round ------------------------
+  // -- Phase 2: replica oracle, 8-thread round ------------------------
   release_freed_heap();
   (void)reset_peak_rss();
   PhasePeak repl_peak;
@@ -289,7 +290,7 @@ int main() {
   double repl_round_s = 0.0;
   {
     const core::ReplicaFactory replica_factory =
-        scenario::make_replica_factory(params, date);
+        test::make_replica_factory(params, date);
     replica_bytes = bytes_per_worker(replica_factory, kThreads);
 
     const core::ParallelRoundRunner runner(replica_factory,

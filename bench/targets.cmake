@@ -41,6 +41,7 @@ target_link_libraries(bench_perf_kernels PRIVATE
 
 rovista_bench(bench_parallel_round)
 rovista_bench(bench_snapshot)
+target_link_libraries(bench_snapshot PRIVATE rovista_replica_oracle)
 rovista_bench(bench_incremental_round)
 rovista_bench(bench_checkpoint)
 rovista_bench(bench_faults)

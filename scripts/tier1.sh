@@ -31,10 +31,9 @@
 #      concurrent publishes, including a zero-VRP-delta fault-window
 #      flip) plus the lifecycle/immutability property suites, all under
 #      -DSANITIZE=thread (runs as stage 2b, before the ASan stages),
-#   9. engine equivalence: the epoch-snapshot and replica engines must
-#      publish byte-identical CSVs, and a faulted series killed under
-#      one engine must resume under the other and byte-match an
-#      uninterrupted run, degradation.csv included,
+#   9. thread invariance: `measure` on the CAIDA sample topology with
+#      --threads omitted, 1 and 4 must publish byte-identical score
+#      datasets and MRT table dumps,
 #  10. docs consistency: every `--flag` the built CLI prints in its
 #      --help output must appear in README.md, and every
 #      `docs/FORMATS.md §N` / `FORMATS.md section N` reference made
@@ -50,8 +49,8 @@
 #      plus bench_analytics --smoke under a wall-clock ceiling with its
 #      streaming-vs-store identity gates green ("ok": true),
 #  13. CLI refusals: `loadgen --reach-fraction` above 0 without
-#      --reach-dst, and any flag a subcommand does not accept, exit 2
-#      with a one-line error (stage 1b),
+#      --reach-dst, any flag a subcommand does not accept, and a
+#      malformed number exit 2 with a one-line error (stage 1b),
 #  14. steady-state daily series: 300 daily rounds on the small world
 #      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
 #      and its first 60 rounds' published CSVs byte-identical to the
@@ -115,7 +114,7 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-stage "CLI refusals (REACH share without a destination, unknown flags)"
+stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers)"
 # Each is refused before any world is built or connection attempted.
 refuse() {
   local status=0
@@ -130,6 +129,10 @@ refuse() {
 refuse loadgen --port 9 --reach-fraction 0.1
 refuse measure --propagation flat
 refuse query --dir "$DOCS_TMP" --asn 129 --bogus 7
+refuse measure --engine replica
+refuse longitudinal --rounds 1 --engine snapshot
+refuse measure --threads x
+refuse longitudinal --rounds 2 --interval-days x
 
 stage "bench_scale smoke (scaling contract under a wall-clock ceiling)"
 # The full shape takes ~30 s; the smoke shape (~5k ASes) must stay well
@@ -162,7 +165,7 @@ t 1800 cmake --build build-tsan -j "$JOBS" \
 t 1800 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -L tsan-stress
 t 1800 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'SnapshotFreeze|SnapshotLifecycle|SnapshotImmutability|SnapshotReader|SnapshotFactory'
+  -R 'SnapshotFreeze|SnapshotLifecycle|SnapshotImmutability|SnapshotReader'
 
 stage "ASan/UBSan incremental + checkpoint surface"
 t 900 cmake -B build-asan -S . -DSANITIZE=address+undefined
@@ -388,54 +391,35 @@ diff -r "$CK_TMP/fault-incr" "$CK_TMP/fault-full" >/dev/null || {
   exit 1
 }
 
-# Epoch-snapshot vs replica engine: the execution strategy may not
-# change a published byte, and RVCP checkpoints must cross engines — a
-# faulted series killed under the replica engine resumes under the
-# snapshot engine and still byte-matches an uninterrupted
-# snapshot-engine run, degradation.csv included.
-stage "engine equivalence byte-diff (snapshot vs replica)"
-t 900 "$CLI" longitudinal --seed 11 --rounds 3 --interval-days 20 \
-  --scale small --engine snapshot --threads 4 \
-  --publish "$CK_TMP/eng-snap" >/dev/null
-t 900 "$CLI" longitudinal --seed 11 --rounds 3 --interval-days 20 \
-  --scale small --engine replica --threads 4 \
-  --publish "$CK_TMP/eng-repl" >/dev/null
-diff -r "$CK_TMP/eng-snap" "$CK_TMP/eng-repl" >/dev/null || {
-  echo "snapshot and replica engines published different CSV bytes" >&2
-  exit 1
-}
-status=0
-# shellcheck disable=SC2086
-t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small $FAULT_KNOBS --engine replica \
-  --checkpoint-dir "$CK_TMP/eng-ck" --die-after 3 >/dev/null || status=$?
-if [ "$status" -ne 137 ]; then
-  echo "expected the replica-engine --die-after run to die with 137, got $status" >&2
-  exit 1
-fi
-# shellcheck disable=SC2086
-t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small $FAULT_KNOBS --engine snapshot \
-  --checkpoint-dir "$CK_TMP/eng-ck" --resume --threads 4 \
-  --publish "$CK_TMP/eng-resumed" >/dev/null
-# shellcheck disable=SC2086
-t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small $FAULT_KNOBS --engine snapshot \
-  --publish "$CK_TMP/eng-uninterrupted" >/dev/null
-if [ ! -s "$CK_TMP/eng-uninterrupted/degradation.csv" ]; then
-  echo "snapshot-engine faulted series published no degradation.csv" >&2
-  exit 1
-fi
-diff -r "$CK_TMP/eng-resumed" "$CK_TMP/eng-uninterrupted" >/dev/null || {
-  echo "cross-engine resumed series published different CSV bytes" >&2
-  exit 1
-}
+# One round path: every --threads value (omitted and 1 run the matrix
+# inline, 4 shards it across epoch readers) measures the same published
+# world, so the score dataset and the collector's MRT table dump may not
+# change by a byte.
+stage "thread-invariance byte-diff (measure --threads omitted / 1 / 4)"
+TI="$CK_TMP/threads"
+TOPO="caida:tests/data/caida_serial2_sample.txt"
+t 300 "$CLI" measure --topology "$TOPO" --out "$TI/default" \
+  --mrt "$TI/default.mrt" >/dev/null
+t 300 "$CLI" measure --topology "$TOPO" --threads 1 --out "$TI/t1" \
+  --mrt "$TI/t1.mrt" >/dev/null
+t 300 "$CLI" measure --topology "$TOPO" --threads 4 --out "$TI/t4" \
+  --mrt "$TI/t4.mrt" >/dev/null
+for run in t1 t4; do
+  diff -r "$TI/default" "$TI/$run" >/dev/null || {
+    echo "measure --threads ${run#t} published different scores than without --threads" >&2
+    exit 1
+  }
+  cmp -s "$TI/default.mrt" "$TI/$run.mrt" || {
+    echo "measure --threads ${run#t} wrote a different MRT dump than without --threads" >&2
+    exit 1
+  }
+done
 
 STAGE=""
 echo "tier-1 OK (tests + docs consistency + bench_scale smoke" \
      "+ TSan parallel round + TSan snapshot stress" \
      "+ ASan/UBSan incremental + checkpoint corruption battery" \
      "+ ASan fault soak + crash/resume byte-diff + SLURM byte-diff" \
-     "+ fault byte-diff + engine-equivalence byte-diff" \
+     "+ fault byte-diff + thread-invariance byte-diff" \
      "+ RVLA analyze byte-diff + bench_analytics smoke" \
      "+ CLI refusals + steady-state daily series)"

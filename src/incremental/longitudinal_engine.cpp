@@ -7,7 +7,7 @@
 #include "incremental/dirty_prefix.h"
 #include "persist/checkpoint_io.h"
 #include "persist/wire.h"
-#include "scan/measurement_client.h"
+#include "snapshot/world_source.h"
 #include "util/logging.h"
 
 namespace rovista::incremental {
@@ -15,58 +15,6 @@ namespace rovista::incremental {
 using util::LogLevel;
 
 namespace {
-
-struct RoundInputs {
-  std::vector<scan::Vvp> vvps;
-  std::vector<scan::Tnode> tnodes;
-};
-
-// Acquisition mutates host state (probes advance IP-ID counters and
-// background RNG streams), so it always runs on a throwaway world built
-// fresh at the round date — never on the tracking world.
-RoundInputs acquire_inputs(const scenario::ScenarioParams& params, Date date,
-                           const core::RovistaConfig& config) {
-  scenario::Scenario s(params);
-  s.advance_to(date);
-  scan::MeasurementClient client_a(s.plane(), s.client_as_a(),
-                                   s.client_addr_a());
-  scan::MeasurementClient client_b(s.plane(), s.client_as_b(),
-                                   s.client_addr_b());
-  core::Rovista rovista(s.plane(), client_a, client_b, config);
-  const auto snapshot = s.collector().snapshot(s.routing());
-  RoundInputs inputs;
-  inputs.tnodes = rovista.acquire_tnodes(
-      snapshot, s.current_vrps(), s.rov_reference_ases(s.current(), 10),
-      s.non_rov_reference_ases(s.current(), 10));
-  inputs.vvps = rovista.acquire_vvps(s.vvp_candidates());
-  return inputs;
-}
-
-// Snapshot-engine acquisition: probe on an EpochReader of the round's
-// published epoch instead of building a throwaway Scenario. The reader's
-// plane is a pristine clone of the epoch template — exactly the host
-// state a fresh world at this date would carry — and the non-probing
-// inputs (collector feed list, vVP candidates, reference ASes) are
-// date-deterministic scenario metadata read off the tracking world, so
-// the acquired lists are bit-identical to the throwaway path; the
-// equivalence suites hold both paths to that.
-RoundInputs acquire_inputs_on_epoch(scenario::Scenario& world,
-                                    snapshot::EpochRef epoch,
-                                    const core::RovistaConfig& config) {
-  const std::unique_ptr<snapshot::EpochReader> reader =
-      snapshot::make_reader(std::move(epoch));
-  core::Rovista rovista(reader->plane(), reader->client_a(),
-                        reader->client_b(), config);
-  const auto snapshot =
-      world.collector().snapshot(reader->epoch().shared_routing());
-  RoundInputs inputs;
-  inputs.tnodes = rovista.acquire_tnodes(
-      snapshot, world.current_vrps(),
-      world.rov_reference_ases(world.current(), 10),
-      world.non_rov_reference_ases(world.current(), 10));
-  inputs.vvps = rovista.acquire_vvps(world.vvp_candidates());
-  return inputs;
-}
 
 std::size_t count_inconclusive(
     const std::vector<core::PairObservation>& observations) {
@@ -462,9 +410,7 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   // tracking world (VRPs installed, fault views bound), shared by the
   // discovery pass and every measurement worker below. The previous
   // round's epoch is released here; it dies once its last reader does.
-  const bool use_snapshots = config_.engine == snapshot::EngineMode::kSnapshot;
-  snapshot::EpochRef epoch;
-  if (use_snapshots) epoch = publisher_->publish();
+  const snapshot::EpochRef epoch = publisher_->publish();
 
   // Round health: only fault-injection worlds record it, keeping the
   // store (and everything published from it) byte-identical otherwise.
@@ -492,10 +438,8 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
                                    report.touched_announced == 0 &&
                                    views_digest == views_digest_;
   if (!can_reuse_discovery) {
-    RoundInputs inputs =
-        use_snapshots
-            ? acquire_inputs_on_epoch(world(), epoch, config_.rovista)
-            : acquire_inputs(config_.params, date, config_.rovista);
+    snapshot::RoundInputs inputs =
+        snapshot::acquire_inputs_on_epoch(world(), epoch, config_.rovista);
     vvps_ = std::move(inputs.vvps);
     tnodes_ = std::move(inputs.tnodes);
   }
@@ -508,8 +452,7 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   report.total_pairs = v_count * t_count;
 
   const core::ParallelRoundRunner runner(
-      use_snapshots ? snapshot::make_reader_factory(epoch)
-                    : scenario::make_replica_factory(config_.params, date),
+      snapshot::make_reader_factory(epoch),
       {config_.rovista.experiment, config_.rovista.scoring,
        config_.rovista.num_threads});
 

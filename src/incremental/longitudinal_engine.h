@@ -7,10 +7,11 @@
 //      installing the new relying-party output via
 //      RoutingSystem::apply_vrp_delta so only dirty prefixes lose their
 //      converged routes (VrpDeltaComputer + DirtyPrefixTracker),
-//   2. reuses the previous round's vVP/tNode lists when provably nothing
-//      the acquisition pipeline reads changed (no timeline events and no
-//      announced prefix touched by the delta); otherwise re-acquires on
-//      a throwaway world exactly like a from-scratch round,
+//   2. publishes the round's epoch and reuses the previous round's
+//      vVP/tNode lists when provably nothing the acquisition pipeline
+//      reads changed (no timeline events and no announced prefix touched
+//      by the delta); otherwise re-acquires on a reader of the epoch
+//      exactly like a from-scratch round,
 //   3. fingerprints every (vVP, tNode) pair on the tracking world
 //      (dataplane/fingerprint.h) and re-runs — through the parallel
 //      engine's canonical slots (ParallelRoundRunner::run_rows) — only
@@ -41,7 +42,6 @@
 #include "persist/checkpoint.h"
 #include "scenario/scenario.h"
 #include "snapshot/epoch_publisher.h"
-#include "snapshot/world_source.h"
 
 namespace rovista::incremental {
 
@@ -53,16 +53,6 @@ struct IncrementalConfig {
   /// false → every round is a plain full recompute (baseline mode; the
   /// bench and the CLI's --incremental flag toggle this).
   bool incremental = true;
-
-  /// How workers get their private measurement worlds
-  /// (snapshot/world_source.h). kSnapshot (default) publishes one
-  /// immutable epoch per round from the tracking world and hands every
-  /// worker — and the discovery pass — a reader borrowing it; kReplica
-  /// is the legacy build-a-full-Scenario-per-worker path, kept as the
-  /// equivalence baseline. Output is engine-invariant (bit-identical
-  /// CSVs and checkpoint digests), so like num_threads this knob is
-  /// excluded from config_digest and a series may resume under either.
-  snapshot::EngineMode engine = snapshot::EngineMode::kSnapshot;
 
   /// Non-empty → run_round writes a crash-safe checkpoint (RVCP format,
   /// docs/FORMATS.md) under this directory every `checkpoint_every`
@@ -143,9 +133,9 @@ class IncrementalLongitudinalRunner {
   // refuses to resume on any mismatch.
 
   /// Digest over every config field that determines measurement output
-  /// (num_threads, the engine mode and the checkpoint knobs excluded —
-  /// resuming at a different thread count or under the other world
-  /// engine is explicitly supported; both are output-invariant).
+  /// (num_threads and the checkpoint knobs excluded — resuming at a
+  /// different thread count is explicitly supported; output is
+  /// thread-invariant).
   static std::uint64_t config_digest(const IncrementalConfig& config);
 
   /// Snapshot the runner's complete resumable state.
@@ -183,7 +173,7 @@ class IncrementalLongitudinalRunner {
   /// already-published epoch.)
   scenario::Scenario& world() noexcept { return publisher_->world(); }
 
-  /// Epoch lifecycle gauges (kSnapshot engine; see EpochPublisher).
+  /// Epoch lifecycle gauges (see EpochPublisher).
   const snapshot::EpochPublisher& publisher() const noexcept {
     return *publisher_;
   }
@@ -200,9 +190,9 @@ class IncrementalLongitudinalRunner {
 
   IncrementalConfig config_;
   // Owns the long-lived tracking world (its private build world) and
-  // publishes one immutable epoch per round under the kSnapshot engine;
-  // under kReplica it still tracks, but nothing is ever published.
-  // unique_ptr because restore() swaps in a replayed world wholesale.
+  // publishes one immutable epoch per round; every round's discovery
+  // and measurement readers borrow that epoch. unique_ptr because
+  // restore() swaps in a replayed world wholesale.
   std::unique_ptr<snapshot::EpochPublisher> publisher_;
   ScoreCache cache_;
   core::LongitudinalStore store_;

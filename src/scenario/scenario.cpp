@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "scan/measurement_client.h"
 #include "topology/caida.h"
 #include "util/strings.h"
 
@@ -653,42 +652,6 @@ void Scenario::build_collector(util::Rng& rng) {
     if (graph_.info(asn)->tier <= 3) peers.push_back(asn);
   }
   collector_ = std::make_unique<bgp::Collector>("route-views", peers);
-}
-
-namespace {
-
-// A private measurement world for one parallel-round worker. Client
-// construction order matches tools/rovista_cli.cpp's build_world (A then
-// B) so replica planes are bit-identical to a serially built world.
-class ScenarioReplica final : public core::MeasurementReplica {
- public:
-  ScenarioReplica(const ScenarioParams& params, Date date)
-      : scenario_(params) {
-    scenario_.advance_to(date);
-    client_a_ = std::make_unique<scan::MeasurementClient>(
-        scenario_.plane(), scenario_.client_as_a(), scenario_.client_addr_a());
-    client_b_ = std::make_unique<scan::MeasurementClient>(
-        scenario_.plane(), scenario_.client_as_b(), scenario_.client_addr_b());
-  }
-
-  dataplane::DataPlane& plane() override { return scenario_.plane(); }
-  scan::MeasurementClient& client() override { return *client_a_; }
-
- private:
-  Scenario scenario_;
-  std::unique_ptr<scan::MeasurementClient> client_a_;
-  std::unique_ptr<scan::MeasurementClient> client_b_;
-};
-
-}  // namespace
-
-core::ReplicaFactory make_replica_factory(ScenarioParams params, Date date) {
-  if (date < params.start) date = params.start;
-  if (date > params.end) date = params.end;
-  return [params = std::move(params), date] {
-    return std::unique_ptr<core::MeasurementReplica>(
-        std::make_unique<ScenarioReplica>(params, date));
-  };
 }
 
 }  // namespace rovista::scenario

@@ -18,7 +18,6 @@
 
 #include "bgp/collector.h"
 #include "bgp/routing_system.h"
-#include "core/parallel_round.h"
 #include "dataplane/dataplane.h"
 #include "faults/fault_chain.h"
 #include "rpki/relying_party.h"
@@ -360,15 +359,5 @@ class Scenario {
 /// Installs the paper's case-study fixtures into a freshly built
 /// scenario (called by the constructor; defined in fixtures.cpp).
 void install_case_studies(Scenario& s, util::Rng& rng);
-
-/// Re-instantiation path for the parallel measurement engine: returns a
-/// factory whose every call builds a bit-identical private world —
-/// a fresh Scenario from `params`, advanced to `date` (clamped to the
-/// scenario window), with the two standard measurement clients
-/// registered. Scenario construction is deterministic in `params`, so
-/// replicas share no mutable state yet agree on every host seed, route
-/// and counter. The factory is safe to call from several threads at
-/// once.
-core::ReplicaFactory make_replica_factory(ScenarioParams params, Date date);
 
 }  // namespace rovista::scenario

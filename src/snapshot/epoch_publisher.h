@@ -2,12 +2,12 @@
 //
 // The publisher owns a private *build* Scenario — the only mutable world
 // in the system. Rounds advance it (policy events, announcement churn,
-// relying-party reruns, VRP deltas, fault-view flips) exactly as the
-// legacy engine advanced its tracking world; publish() then materializes
-// the current state into an immutable EpochWorld and swaps it in as the
-// current epoch under a mutex. Readers pin whatever epoch is current at
-// acquire time and keep it until they release — a publish never blocks
-// on readers and never invalidates a pinned epoch.
+// relying-party reruns, VRP deltas, fault-view flips) through
+// Scenario::advance_to; publish() then materializes the current state
+// into an immutable EpochWorld and swaps it in as the current epoch
+// under a mutex. Readers pin whatever epoch is current at acquire time
+// and keep it until they release — a publish never blocks on readers
+// and never invalidates a pinned epoch.
 //
 // Demand-warmed epochs: publish() converges every announced prefix on
 // the build world itself (RoutingSystem::warm), so converged routes

@@ -1,9 +1,8 @@
 // Epoch-snapshot world state: one immutable world serving N readers.
 //
-// The parallel measurement engine historically built a *full private
-// world replica per worker* (scenario::make_replica_factory): correct,
-// but the clone cost and the memory wall scale with the thread count.
-// The epoch-snapshot engine splits mutable installation from immutable
+// Building a full private world per measurement worker would make the
+// clone cost and the memory wall scale with the thread count. The
+// epoch-snapshot engine splits mutable installation from immutable
 // publication instead:
 //
 //   * an EpochWorld is a frozen, fully-materialized copy of everything
@@ -201,9 +200,9 @@ class EpochRef {
 /// A reader borrowing one epoch: private plane (cloned pristine from the
 /// epoch's template against the shared frozen routing) plus the two
 /// standard measurement clients, registered A-then-B exactly like a
-/// serially built world — so observations are bit-identical to the
-/// replica path. Holding the EpochRef keeps the epoch alive for the
-/// reader's lifetime.
+/// serially built world — so observations are bit-identical to a world
+/// built from scratch at the epoch's date. Holding the EpochRef keeps
+/// the epoch alive for the reader's lifetime.
 class EpochReader final : public core::MeasurementReplica {
  public:
   explicit EpochReader(EpochRef epoch);

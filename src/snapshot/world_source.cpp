@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "snapshot/epoch_publisher.h"
-
 namespace rovista::snapshot {
 
 std::unique_ptr<EpochReader> make_reader(EpochRef epoch) {
@@ -17,17 +15,20 @@ core::ReplicaFactory make_reader_factory(EpochRef epoch) {
   };
 }
 
-core::ReplicaFactory make_measurement_factory(scenario::ScenarioParams params,
-                                              util::Date date,
-                                              EngineMode mode) {
-  if (mode == EngineMode::kReplica) {
-    return scenario::make_replica_factory(std::move(params), date);
-  }
-  if (date < params.start) date = params.start;
-  if (date > params.end) date = params.end;
-  EpochPublisher publisher(std::move(params));
-  publisher.advance_to(date);
-  return make_reader_factory(publisher.publish());
+RoundInputs acquire_inputs_on_epoch(scenario::Scenario& world, EpochRef epoch,
+                                    const core::RovistaConfig& config) {
+  const std::unique_ptr<EpochReader> reader = make_reader(std::move(epoch));
+  core::Rovista rovista(reader->plane(), reader->client_a(),
+                        reader->client_b(), config);
+  const auto snapshot =
+      world.collector().snapshot(reader->epoch().shared_routing());
+  RoundInputs inputs;
+  inputs.tnodes = rovista.acquire_tnodes(
+      snapshot, world.current_vrps(),
+      world.rov_reference_ases(world.current(), 10),
+      world.non_rov_reference_ases(world.current(), 10));
+  inputs.vvps = rovista.acquire_vvps(world.vvp_candidates());
+  return inputs;
 }
 
 }  // namespace rovista::snapshot

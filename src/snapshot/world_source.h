@@ -1,32 +1,23 @@
-// The one factory for measurement worlds.
+// Where measurement worlds come from.
 //
-// Every consumer that needs private measurement state for a worker —
-// the parallel round runner, the incremental engine, the CLI, benches —
-// acquires it here instead of constructing Scenarios or cloning planes
-// ad hoc. Two engines sit behind the same core::ReplicaFactory type:
-//
-//   kSnapshot (default) — one EpochPublisher builds the world once,
-//       publishes an immutable epoch, and every worker gets an
-//       EpochReader borrowing it (private hosts/clock/clients, shared
-//       frozen routing). Memory and clone cost are paid once, not per
-//       thread.
-//   kReplica — the legacy path: each call builds a full private
-//       Scenario (scenario::make_replica_factory). Kept as the
-//       equivalence baseline; the test suites drive both engines and
-//       demand bit-identical output.
+// One EpochPublisher builds the world once and publishes an immutable
+// epoch; every consumer that needs private measurement state — the
+// discovery pass and each worker of the parallel round runner — gets an
+// EpochReader borrowing that epoch (private hosts/clock/clients, shared
+// frozen routing). Memory and clone cost are paid once, not per thread.
+// `measure`, `audit`, `longitudinal` and `serve` all run their rounds
+// this way.
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "core/parallel_round.h"
+#include "core/rovista.h"
 #include "scenario/scenario.h"
 #include "snapshot/epoch_world.h"
 
 namespace rovista::snapshot {
-
-enum class EngineMode { kSnapshot, kReplica };
-
-constexpr const char* engine_mode_name(EngineMode m) noexcept {
-  return m == EngineMode::kSnapshot ? "snapshot" : "replica";
-}
 
 /// A reader borrowing `epoch` (pins it for the reader's lifetime).
 std::unique_ptr<EpochReader> make_reader(EpochRef epoch);
@@ -35,13 +26,21 @@ std::unique_ptr<EpochReader> make_reader(EpochRef epoch);
 /// call from several threads at once; every reader pins `epoch`.
 core::ReplicaFactory make_reader_factory(EpochRef epoch);
 
-/// One-stop world acquisition: build the world for (`params`, `date`)
-/// and return a factory of private measurement replicas for it.
-/// kSnapshot publishes a single epoch internally (the factory owns the
-/// pin); kReplica defers to scenario::make_replica_factory. `date` is
-/// clamped to the scenario window either way.
-core::ReplicaFactory make_measurement_factory(scenario::ScenarioParams params,
-                                              util::Date date,
-                                              EngineMode mode);
+/// The vVPs and tNodes one round measures.
+struct RoundInputs {
+  std::vector<scan::Vvp> vvps;
+  std::vector<scan::Tnode> tnodes;
+};
+
+/// Discovery (tNode then vVP acquisition) for the round `epoch` was
+/// published for. Probing runs on a private reader of `epoch`, whose
+/// plane is a pristine clone of the epoch template — exactly the host
+/// state a fresh world at this date would carry — so the epoch itself
+/// stays unprobed for the measurement readers. The non-probing inputs
+/// (collector feed list, vVP candidates, reference ASes) are
+/// date-deterministic metadata read off `world`, the build world the
+/// epoch was published from, which must not have advanced since.
+RoundInputs acquire_inputs_on_epoch(scenario::Scenario& world, EpochRef epoch,
+                                    const core::RovistaConfig& config);
 
 }  // namespace rovista::snapshot

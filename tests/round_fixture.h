@@ -3,15 +3,15 @@
 // small deterministic world plus one acquisition pass.
 //
 // Discovery (tNode/vVP acquisition) mutates host state — probes advance
-// IP-ID counters and background RNG streams — so it runs on a throwaway
-// world; measurement worlds are then built fresh from the same params,
-// which is exactly what scenario::make_replica_factory produces.
+// IP-ID counters and background RNG streams — so acquire_round_inputs
+// runs it on a throwaway world built fresh at the round date: the
+// reference that production discovery on an epoch reader
+// (snapshot::acquire_inputs_on_epoch) must reproduce.
 #pragma once
-
-#include <vector>
 
 #include "core/rovista.h"
 #include "scenario/scenario.h"
+#include "snapshot/world_source.h"
 
 namespace rovista::testfx {
 
@@ -40,10 +40,7 @@ inline core::RovistaConfig round_config() {
   return config;
 }
 
-struct RoundInputs {
-  std::vector<scan::Vvp> vvps;
-  std::vector<scan::Tnode> tnodes;
-};
+using RoundInputs = snapshot::RoundInputs;
 
 inline RoundInputs acquire_round_inputs(const scenario::ScenarioParams& params,
                                         util::Date date,

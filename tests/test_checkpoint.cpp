@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "core/incremental_runner.h"
 #include "core/publish.h"
+#include "incremental/longitudinal_engine.h"
 #include "incremental/score_cache.h"
 #include "persist/checkpoint.h"
 #include "persist/checkpoint_io.h"
@@ -453,8 +453,8 @@ std::vector<util::Date> series_dates(const scenario::ScenarioParams& params) {
   return {params.start + 150, params.start + 171, params.start + 215};
 }
 
-core::IncrementalConfig engine_config(int num_threads) {
-  core::IncrementalConfig config;
+incremental::IncrementalConfig engine_config(int num_threads) {
+  incremental::IncrementalConfig config;
   config.params = testfx::round_params();
   config.rovista = testfx::round_config();
   config.rovista.num_threads = num_threads;
@@ -503,13 +503,14 @@ class CheckpointResume : public ::testing::Test {
   // One uninterrupted 3-round series and one 2-round checkpoint state,
   // shared by the per-thread-count resume cases.
   static void SetUpTestSuite() {
-    uninterrupted_ = new core::IncrementalLongitudinalRunner(engine_config(0));
-    final_rounds_ = new std::vector<core::RoundReport>();
+    uninterrupted_ =
+        new incremental::IncrementalLongitudinalRunner(engine_config(0));
+    final_rounds_ = new std::vector<incremental::RoundReport>();
     for (const util::Date date : series_dates(uninterrupted_->config().params)) {
       final_rounds_->push_back(uninterrupted_->run_round(date));
     }
 
-    core::IncrementalLongitudinalRunner partial(engine_config(0));
+    incremental::IncrementalLongitudinalRunner partial(engine_config(0));
     const auto dates = series_dates(partial.config().params);
     partial.run_round(dates[0]);
     partial.run_round(dates[1]);
@@ -526,12 +527,13 @@ class CheckpointResume : public ::testing::Test {
   }
 
   static void expect_resume_matches(int num_threads) {
-    core::IncrementalLongitudinalRunner resumed(engine_config(num_threads));
+    incremental::IncrementalLongitudinalRunner resumed(
+        engine_config(num_threads));
     ASSERT_TRUE(resumed.restore(*after_two_));
     EXPECT_EQ(resumed.completed_rounds(), 2u);
 
     const auto dates = series_dates(resumed.config().params);
-    const core::RoundReport last = resumed.run_round(dates[2]);
+    const incremental::RoundReport last = resumed.run_round(dates[2]);
     const std::string label =
         "resumed final round @ " + std::to_string(num_threads) + " threads";
     expect_rounds_bit_identical((*final_rounds_)[2].round, last.round,
@@ -550,14 +552,15 @@ class CheckpointResume : public ::testing::Test {
     EXPECT_EQ(read_dir(full_dir.path), read_dir(resumed_dir.path)) << label;
   }
 
-  static core::IncrementalLongitudinalRunner* uninterrupted_;
-  static std::vector<core::RoundReport>* final_rounds_;
+  static incremental::IncrementalLongitudinalRunner* uninterrupted_;
+  static std::vector<incremental::RoundReport>* final_rounds_;
   static persist::CheckpointState* after_two_;
 };
 
-core::IncrementalLongitudinalRunner* CheckpointResume::uninterrupted_ =
+incremental::IncrementalLongitudinalRunner* CheckpointResume::uninterrupted_ =
     nullptr;
-std::vector<core::RoundReport>* CheckpointResume::final_rounds_ = nullptr;
+std::vector<incremental::RoundReport>* CheckpointResume::final_rounds_ =
+    nullptr;
 persist::CheckpointState* CheckpointResume::after_two_ = nullptr;
 
 TEST_F(CheckpointResume, StateSurvivesEncodeDecode) {
@@ -592,22 +595,22 @@ TEST_F(CheckpointResume, FileRoundTripResumesIdentically) {
   TempDir dir;
   ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(), *after_two_));
 
-  core::IncrementalConfig config = engine_config(2);
+  incremental::IncrementalConfig config = engine_config(2);
   config.checkpoint_dir = dir.path.string();
-  core::IncrementalLongitudinalRunner resumed(config);
+  incremental::IncrementalLongitudinalRunner resumed(config);
   ASSERT_TRUE(resumed.resume_from_checkpoint());
   EXPECT_EQ(resumed.completed_rounds(), 2u);
 
   const auto dates = series_dates(resumed.config().params);
-  const core::RoundReport last = resumed.run_round(dates[2]);
+  const incremental::RoundReport last = resumed.run_round(dates[2]);
   expect_rounds_bit_identical((*final_rounds_)[2].round, last.round,
                               "file round trip");
 }
 
 TEST_F(CheckpointResume, DigestMismatchIsLoggedColdStart) {
-  core::IncrementalConfig other = engine_config(0);
+  incremental::IncrementalConfig other = engine_config(0);
   other.params.seed = 999;  // different world
-  core::IncrementalLongitudinalRunner runner(other);
+  incremental::IncrementalLongitudinalRunner runner(other);
   std::string log = capture_log([&] {
     EXPECT_FALSE(runner.restore(*after_two_));
   });
@@ -616,9 +619,9 @@ TEST_F(CheckpointResume, DigestMismatchIsLoggedColdStart) {
 }
 
 TEST_F(CheckpointResume, UserTagMismatchIsLoggedColdStart) {
-  core::IncrementalConfig tagged = engine_config(0);
+  incremental::IncrementalConfig tagged = engine_config(0);
   tagged.checkpoint_user_tag = 0xDEAD;
-  core::IncrementalLongitudinalRunner runner(tagged);
+  incremental::IncrementalLongitudinalRunner runner(tagged);
   std::string log = capture_log([&] {
     EXPECT_FALSE(runner.restore(*after_two_));
   });
@@ -626,9 +629,9 @@ TEST_F(CheckpointResume, UserTagMismatchIsLoggedColdStart) {
 }
 
 TEST_F(CheckpointResume, ModeMismatchIsLoggedColdStart) {
-  core::IncrementalConfig full = engine_config(0);
+  incremental::IncrementalConfig full = engine_config(0);
   full.incremental = false;
-  core::IncrementalLongitudinalRunner runner(full);
+  incremental::IncrementalLongitudinalRunner runner(full);
   std::string log = capture_log([&] {
     EXPECT_FALSE(runner.restore(*after_two_));
   });
@@ -643,9 +646,9 @@ TEST_F(CheckpointResume, CorruptCheckpointFilesAreLoggedColdStart) {
   bytes[bytes.size() / 3] ^= 0xFF;
   write_bytes(paths.current, bytes);
 
-  core::IncrementalConfig config = engine_config(0);
+  incremental::IncrementalConfig config = engine_config(0);
   config.checkpoint_dir = dir.path.string();
-  core::IncrementalLongitudinalRunner runner(config);
+  incremental::IncrementalLongitudinalRunner runner(config);
   std::string log = capture_log([&] {
     EXPECT_FALSE(runner.resume_from_checkpoint());
   });
@@ -653,7 +656,7 @@ TEST_F(CheckpointResume, CorruptCheckpointFilesAreLoggedColdStart) {
   EXPECT_NE(log.find("checkpoint"), std::string::npos) << log;
   // The runner is still a perfectly good cold start.
   const auto dates = series_dates(runner.config().params);
-  const core::RoundReport first = runner.run_round(dates[0]);
+  const incremental::RoundReport first = runner.run_round(dates[0]);
   expect_rounds_bit_identical((*final_rounds_)[0].round, first.round,
                               "cold start after corrupt checkpoint");
   // The destructor writes an exit checkpoint into config.checkpoint_dir;
@@ -662,12 +665,12 @@ TEST_F(CheckpointResume, CorruptCheckpointFilesAreLoggedColdStart) {
 
 TEST_F(CheckpointResume, PeriodicCheckpointsAreWritten) {
   TempDir dir;
-  core::IncrementalConfig config = engine_config(0);
+  incremental::IncrementalConfig config = engine_config(0);
   config.checkpoint_dir = dir.path.string();
   config.checkpoint_every = 1;
   const auto paths = persist::CheckpointPaths::in(dir.path.string());
   {
-    core::IncrementalLongitudinalRunner runner(config);
+    incremental::IncrementalLongitudinalRunner runner(config);
     const auto dates = series_dates(runner.config().params);
     runner.run_round(dates[0]);
     ASSERT_TRUE(fs::exists(paths.current));

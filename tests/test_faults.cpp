@@ -16,10 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "core/incremental_runner.h"
 #include "core/publish.h"
 #include "faults/fault_chain.h"
 #include "faults/fault_schedule.h"
+#include "incremental/longitudinal_engine.h"
 #include "persist/checkpoint.h"
 #include "rpki/relying_party.h"
 #include "round_fixture.h"
@@ -322,9 +322,10 @@ TEST(FaultChainScenario, CorruptTeardownRaisesErrorReportsAndRecovers) {
 TEST(FaultChainScenario, SteppedAndJumpedWorldsConverge) {
   // The schedule is a pure function of (params, AS set, window, seed)
   // and compute() a pure function of (repos, date, fresh): a tracking
-  // world stepped day-by-day and a replica jumped straight to D must
-  // agree on every AS's effective validation — the property the
-  // incremental engine's replica factory rests on.
+  // world stepped day-by-day and a world jumped straight to D must
+  // agree on every AS's effective validation — the property that lets
+  // the engine's stepped tracking world stand in for a world built
+  // fresh at each round date.
   const scenario::ScenarioParams params = faulted_params();
   const Date target = params.start + 150;
 
@@ -369,9 +370,9 @@ std::vector<Date> fault_round_dates(const scenario::ScenarioParams& params) {
   return {params.start + 150, params.start + 171, params.start + 215};
 }
 
-core::IncrementalConfig faulted_engine_config(bool incremental,
-                                              int num_threads) {
-  core::IncrementalConfig config;
+incremental::IncrementalConfig faulted_engine_config(bool incremental,
+                                                     int num_threads) {
+  incremental::IncrementalConfig config;
   config.params = faulted_params();
   config.rovista = testfx::round_config();
   config.rovista.num_threads = num_threads;
@@ -423,9 +424,9 @@ std::map<std::string, std::string> read_dir(
 class FaultedIncrementalRound : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    baseline_ = new core::IncrementalLongitudinalRunner(
+    baseline_ = new incremental::IncrementalLongitudinalRunner(
         faulted_engine_config(/*incremental=*/false, /*num_threads=*/0));
-    baseline_rounds_ = new std::vector<core::RoundReport>();
+    baseline_rounds_ = new std::vector<incremental::RoundReport>();
     for (const Date date : fault_round_dates(baseline_->config().params)) {
       baseline_rounds_->push_back(baseline_->run_round(date));
     }
@@ -439,11 +440,11 @@ class FaultedIncrementalRound : public ::testing::Test {
   }
 
   static void expect_incremental_matches_baseline(int num_threads) {
-    core::IncrementalLongitudinalRunner runner(
+    incremental::IncrementalLongitudinalRunner runner(
         faulted_engine_config(/*incremental=*/true, num_threads));
     const auto dates = fault_round_dates(runner.config().params);
     for (std::size_t i = 0; i < dates.size(); ++i) {
-      const core::RoundReport report = runner.run_round(dates[i]);
+      const incremental::RoundReport report = runner.run_round(dates[i]);
       const std::string label = "faulted " + dates[i].to_string() + " @ " +
                                 std::to_string(num_threads) + " threads";
       expect_bit_identical((*baseline_rounds_)[i].round, report.round,
@@ -452,19 +453,19 @@ class FaultedIncrementalRound : public ::testing::Test {
     }
   }
 
-  static core::IncrementalLongitudinalRunner* baseline_;
-  static std::vector<core::RoundReport>* baseline_rounds_;
+  static incremental::IncrementalLongitudinalRunner* baseline_;
+  static std::vector<incremental::RoundReport>* baseline_rounds_;
 };
 
-core::IncrementalLongitudinalRunner* FaultedIncrementalRound::baseline_ =
+incremental::IncrementalLongitudinalRunner* FaultedIncrementalRound::baseline_ =
     nullptr;
-std::vector<core::RoundReport>* FaultedIncrementalRound::baseline_rounds_ =
-    nullptr;
+std::vector<incremental::RoundReport>*
+    FaultedIncrementalRound::baseline_rounds_ = nullptr;
 
 TEST_F(FaultedIncrementalRound, FixtureIsActuallyDegraded) {
   // The comparison would be vacuous if no round ran under degradation.
   bool any_degraded = false;
-  for (const core::RoundReport& report : *baseline_rounds_) {
+  for (const incremental::RoundReport& report : *baseline_rounds_) {
     EXPECT_GT(report.total_pairs, 0u);
     if (report.health.degraded()) any_degraded = true;
   }
@@ -490,7 +491,7 @@ TEST_F(FaultedIncrementalRound, EightThreadsMatchFullRecompute) {
 }
 
 TEST_F(FaultedIncrementalRound, PublishedDatasetsAreByteIdentical) {
-  core::IncrementalLongitudinalRunner runner(
+  incremental::IncrementalLongitudinalRunner runner(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/4));
   for (const Date date : fault_round_dates(runner.config().params)) {
     runner.run_round(date);
@@ -517,11 +518,11 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
   // windows — and resume in a new runner at a different thread count:
   // the final round and the whole published series must match the
   // uninterrupted full-recompute baseline byte for byte.
-  core::IncrementalLongitudinalRunner partial(
+  incremental::IncrementalLongitudinalRunner partial(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
   const auto dates = fault_round_dates(partial.config().params);
   partial.run_round(dates[0]);
-  const core::RoundReport second = partial.run_round(dates[1]);
+  const incremental::RoundReport second = partial.run_round(dates[1]);
   // Divergence alone is permanent; demand an *active* failure window
   // (stale or expired ASes) so the checkpoint really lands mid-outage.
   ASSERT_GT(second.health.stale_ases + second.health.expired_ases, 0u)
@@ -529,11 +530,11 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
   const persist::CheckpointState state = partial.checkpoint_state();
   EXPECT_TRUE(state.faulted);
 
-  core::IncrementalLongitudinalRunner resumed(
+  incremental::IncrementalLongitudinalRunner resumed(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/4));
   ASSERT_TRUE(resumed.restore(state));
   EXPECT_EQ(resumed.completed_rounds(), 2u);
-  const core::RoundReport last = resumed.run_round(dates[2]);
+  const incremental::RoundReport last = resumed.run_round(dates[2]);
   expect_bit_identical((*baseline_rounds_)[2].round, last.round,
                        "faulted resume");
   EXPECT_EQ((*baseline_rounds_)[2].health, last.health);
@@ -553,7 +554,7 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
 }
 
 TEST_F(FaultedIncrementalRound, CheckpointRoundTripsThroughWireFormat) {
-  core::IncrementalLongitudinalRunner partial(
+  incremental::IncrementalLongitudinalRunner partial(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
   const auto dates = fault_round_dates(partial.config().params);
   partial.run_round(dates[0]);
@@ -579,7 +580,7 @@ TEST_F(FaultedIncrementalRound, CheckpointRoundTripsThroughWireFormat) {
 }
 
 TEST_F(FaultedIncrementalRound, RestoreRefusesForeignFaultWorlds) {
-  core::IncrementalLongitudinalRunner partial(
+  incremental::IncrementalLongitudinalRunner partial(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
   const auto dates = fault_round_dates(partial.config().params);
   partial.run_round(dates[0]);
@@ -589,7 +590,7 @@ TEST_F(FaultedIncrementalRound, RestoreRefusesForeignFaultWorlds) {
   // schedule digest is the guard.
   persist::CheckpointState tampered = state;
   tampered.fault_digest ^= 1;
-  core::IncrementalLongitudinalRunner fresh(
+  incremental::IncrementalLongitudinalRunner fresh(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
   EXPECT_FALSE(fresh.restore(tampered));
 
@@ -614,17 +615,17 @@ TEST_F(FaultedIncrementalRound, RestoreRefusesForeignFaultWorlds) {
 // actually fire: at least one round with no events and no touched
 // prefixes still re-acquires discovery.
 TEST(FaultedIncrementalViews, ViewFlipWithZeroVrpDeltaForcesReacquisition) {
-  core::IncrementalLongitudinalRunner full(
+  incremental::IncrementalLongitudinalRunner full(
       faulted_engine_config(/*incremental=*/false, /*num_threads=*/2));
-  core::IncrementalLongitudinalRunner incr(
+  incremental::IncrementalLongitudinalRunner incr(
       faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
 
   const Date start = full.config().params.start;
   bool digest_guard_fired = false;
   for (int offset = 100; offset <= 200; offset += 5) {
     const Date date = start + offset;
-    const core::RoundReport a = full.run_round(date);
-    const core::RoundReport b = incr.run_round(date);
+    const incremental::RoundReport a = full.run_round(date);
+    const incremental::RoundReport b = incr.run_round(date);
     const std::string label = "faulted dense walk " + date.to_string();
     expect_bit_identical(a.round, b.round, label.c_str());
     EXPECT_EQ(a.health, b.health) << label;

@@ -15,7 +15,9 @@
 #include <string>
 
 #include "core/parallel_round.h"
+#include "replica_oracle.h"
 #include "round_fixture.h"
+#include "snapshot/epoch_publisher.h"
 #include "snapshot/world_source.h"
 
 #ifndef ROVISTA_TEST_DATA_DIR
@@ -41,6 +43,8 @@ std::string render_scores(const std::vector<core::AsScore>& scores) {
   return out;
 }
 
+// The reference axis: the serial round on worlds built from scratch
+// (tests/replica_oracle.h) with fresh-world discovery inputs.
 TEST(GoldenRound, ScoresMatchCheckedInGolden) {
   const scenario::ScenarioParams params = testfx::round_params();
   const util::Date date = testfx::round_date(params);
@@ -55,7 +59,7 @@ TEST(GoldenRound, ScoresMatchCheckedInGolden) {
   round_config.scoring = config.scoring;
   round_config.num_threads = 0;  // serial reference engine
   const core::ParallelRoundRunner runner(
-      scenario::make_replica_factory(params, date), round_config);
+      test::make_replica_factory(params, date), round_config);
   const core::MeasurementRound round =
       runner.run(inputs.vvps, inputs.tnodes);
   ASSERT_FALSE(round.scores.empty());
@@ -80,38 +84,37 @@ TEST(GoldenRound, ScoresMatchCheckedInGolden) {
          "ROVISTA_REGEN_GOLDEN=1 and explain the change in the commit";
 }
 
-// Equivalence axis: the epoch-snapshot engine must reproduce the very
-// same golden CSV bytes the replica engine does — one assertion per
-// engine against one checked-in file, so neither can drift alone.
+// The production axis, the path `measure` runs: one published epoch,
+// discovery on a reader of it, the round on further readers of it — at
+// every thread count, the golden bytes the reference axis produces.
 TEST(GoldenRound, SnapshotEngineMatchesSameGolden) {
   const scenario::ScenarioParams params = testfx::round_params();
-  const util::Date date = testfx::round_date(params);
   const core::RovistaConfig config = testfx::round_config();
+  snapshot::EpochPublisher publisher(params);
+  publisher.advance_to(testfx::round_date(params));
+  const snapshot::EpochRef epoch = publisher.publish();
   const testfx::RoundInputs inputs =
-      testfx::acquire_round_inputs(params, date, config);
-
-  core::ParallelRoundConfig round_config;
-  round_config.experiment = config.experiment;
-  round_config.scoring = config.scoring;
-  round_config.num_threads = 4;
-  const core::ParallelRoundRunner runner(
-      snapshot::make_measurement_factory(params, date,
-                                         snapshot::EngineMode::kSnapshot),
-      round_config);
-  const core::MeasurementRound round =
-      runner.run(inputs.vvps, inputs.tnodes);
-  ASSERT_FALSE(round.scores.empty());
-  const std::string got = render_scores(round.scores);
-
+      snapshot::acquire_inputs_on_epoch(publisher.world(), epoch, config);
   const std::string path =
       std::string(ROVISTA_TEST_DATA_DIR) + "/golden_round_scores.csv";
   std::ifstream in(path);
   ASSERT_TRUE(in) << "missing golden file " << path;
   std::stringstream want;
   want << in.rdbuf();
-  EXPECT_EQ(want.str(), got)
-      << "snapshot engine diverged from the golden scores the replica "
-         "engine produces";
+
+  for (const int threads : {0, 1, 2, 4, 8}) {
+    core::ParallelRoundConfig round_config;
+    round_config.experiment = config.experiment;
+    round_config.scoring = config.scoring;
+    round_config.num_threads = threads;
+    const core::ParallelRoundRunner runner(snapshot::make_reader_factory(epoch),
+                                           round_config);
+    const core::MeasurementRound round =
+        runner.run(inputs.vvps, inputs.tnodes);
+    EXPECT_EQ(want.str(), render_scores(round.scores))
+        << threads << " threads: the production round diverged from the "
+        << "golden scores the reference axis produces";
+  }
 }
 
 }  // namespace

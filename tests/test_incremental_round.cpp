@@ -14,16 +14,16 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/incremental_runner.h"
 #include "core/publish.h"
+#include "incremental/longitudinal_engine.h"
 #include "persist/checkpoint.h"
 #include "persist/wire.h"
 #include "incremental/dirty_prefix.h"
 #include "incremental/vrp_delta.h"
 #include "round_fixture.h"
-#include "snapshot/world_source.h"
 
 namespace {
 
@@ -35,8 +35,9 @@ std::vector<util::Date> round_dates(const scenario::ScenarioParams& params) {
   return {params.start + 150, params.start + 171, params.start + 215};
 }
 
-core::IncrementalConfig engine_config(bool incremental, int num_threads) {
-  core::IncrementalConfig config;
+incremental::IncrementalConfig engine_config(bool incremental,
+                                             int num_threads) {
+  incremental::IncrementalConfig config;
   config.params = testfx::round_params();
   const core::RovistaConfig rovista = testfx::round_config();
   config.rovista = rovista;
@@ -91,9 +92,9 @@ class IncrementalRound : public ::testing::Test {
   // One full-recompute baseline per date, shared across the per-thread-
   // count test cases.
   static void SetUpTestSuite() {
-    baseline_ = new core::IncrementalLongitudinalRunner(
+    baseline_ = new incremental::IncrementalLongitudinalRunner(
         engine_config(/*incremental=*/false, /*num_threads=*/0));
-    baseline_rounds_ = new std::vector<core::RoundReport>();
+    baseline_rounds_ = new std::vector<incremental::RoundReport>();
     for (const util::Date date : round_dates(baseline_->config().params)) {
       baseline_rounds_->push_back(baseline_->run_round(date));
     }
@@ -107,11 +108,11 @@ class IncrementalRound : public ::testing::Test {
   }
 
   static void expect_incremental_matches_baseline(int num_threads) {
-    core::IncrementalLongitudinalRunner runner(
+    incremental::IncrementalLongitudinalRunner runner(
         engine_config(/*incremental=*/true, num_threads));
     const auto dates = round_dates(runner.config().params);
     for (std::size_t i = 0; i < dates.size(); ++i) {
-      const core::RoundReport report = runner.run_round(dates[i]);
+      const incremental::RoundReport report = runner.run_round(dates[i]);
       const std::string label = dates[i].to_string() + " @ " +
                                 std::to_string(num_threads) + " threads";
       expect_bit_identical((*baseline_rounds_)[i].round, report.round,
@@ -119,16 +120,18 @@ class IncrementalRound : public ::testing::Test {
     }
   }
 
-  static core::IncrementalLongitudinalRunner* baseline_;
-  static std::vector<core::RoundReport>* baseline_rounds_;
+  static incremental::IncrementalLongitudinalRunner* baseline_;
+  static std::vector<incremental::RoundReport>* baseline_rounds_;
 };
 
-core::IncrementalLongitudinalRunner* IncrementalRound::baseline_ = nullptr;
-std::vector<core::RoundReport>* IncrementalRound::baseline_rounds_ = nullptr;
+incremental::IncrementalLongitudinalRunner* IncrementalRound::baseline_ =
+    nullptr;
+std::vector<incremental::RoundReport>* IncrementalRound::baseline_rounds_ =
+    nullptr;
 
 TEST_F(IncrementalRound, FixtureIsNonTrivial) {
   ASSERT_EQ(baseline_rounds_->size(), 3u);
-  for (const core::RoundReport& report : *baseline_rounds_) {
+  for (const incremental::RoundReport& report : *baseline_rounds_) {
     EXPECT_GE(report.total_rows, 9u);
     EXPECT_GT(report.total_pairs, 0u);
     EXPECT_FALSE(report.round.scores.empty());
@@ -158,7 +161,7 @@ TEST_F(IncrementalRound, EightThreadsMatchFullRecompute) {
 }
 
 TEST_F(IncrementalRound, PublishedDatasetsAreByteIdentical) {
-  core::IncrementalLongitudinalRunner runner(
+  incremental::IncrementalLongitudinalRunner runner(
       engine_config(/*incremental=*/true, /*num_threads=*/4));
   for (const util::Date date : round_dates(runner.config().params)) {
     runner.run_round(date);
@@ -189,9 +192,10 @@ TEST_F(IncrementalRound, PublishedDatasetsAreByteIdentical) {
 // per-view dirty-set path of RoutingSystem::apply_vrp_delta instead of
 // the (removed) invalidate-everything fallback.
 
-core::IncrementalConfig slurm_engine_config(bool incremental,
-                                            int num_threads) {
-  core::IncrementalConfig config = engine_config(incremental, num_threads);
+incremental::IncrementalConfig slurm_engine_config(bool incremental,
+                                                   int num_threads) {
+  incremental::IncrementalConfig config =
+      engine_config(incremental, num_threads);
   config.params.slurm_fraction = 0.35;
   return config;
 }
@@ -217,9 +221,9 @@ scenario::VrpInstaller delta_installer(std::size_t* delta_size) {
 class SlurmIncrementalRound : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    baseline_ = new core::IncrementalLongitudinalRunner(
+    baseline_ = new incremental::IncrementalLongitudinalRunner(
         slurm_engine_config(/*incremental=*/false, /*num_threads=*/0));
-    baseline_rounds_ = new std::vector<core::RoundReport>();
+    baseline_rounds_ = new std::vector<incremental::RoundReport>();
     for (const util::Date date : round_dates(baseline_->config().params)) {
       baseline_rounds_->push_back(baseline_->run_round(date));
     }
@@ -233,11 +237,11 @@ class SlurmIncrementalRound : public ::testing::Test {
   }
 
   static void expect_incremental_matches_baseline(int num_threads) {
-    core::IncrementalLongitudinalRunner runner(
+    incremental::IncrementalLongitudinalRunner runner(
         slurm_engine_config(/*incremental=*/true, num_threads));
     const auto dates = round_dates(runner.config().params);
     for (std::size_t i = 0; i < dates.size(); ++i) {
-      const core::RoundReport report = runner.run_round(dates[i]);
+      const incremental::RoundReport report = runner.run_round(dates[i]);
       const std::string label = "slurm " + dates[i].to_string() + " @ " +
                                 std::to_string(num_threads) + " threads";
       expect_bit_identical((*baseline_rounds_)[i].round, report.round,
@@ -245,19 +249,19 @@ class SlurmIncrementalRound : public ::testing::Test {
     }
   }
 
-  static core::IncrementalLongitudinalRunner* baseline_;
-  static std::vector<core::RoundReport>* baseline_rounds_;
+  static incremental::IncrementalLongitudinalRunner* baseline_;
+  static std::vector<incremental::RoundReport>* baseline_rounds_;
 };
 
-core::IncrementalLongitudinalRunner* SlurmIncrementalRound::baseline_ =
+incremental::IncrementalLongitudinalRunner* SlurmIncrementalRound::baseline_ =
     nullptr;
-std::vector<core::RoundReport>* SlurmIncrementalRound::baseline_rounds_ =
+std::vector<incremental::RoundReport>* SlurmIncrementalRound::baseline_rounds_ =
     nullptr;
 
 TEST_F(SlurmIncrementalRound, FixtureHasSlurmBearingPolicies) {
   // The comparison would be vacuous if no AS actually carried exceptions
   // by the first measured date.
-  const core::IncrementalConfig config = slurm_engine_config(false, 0);
+  const incremental::IncrementalConfig config = slurm_engine_config(false, 0);
   scenario::Scenario world(config.params);
   world.advance_to(round_dates(config.params).front());
   std::size_t slurm_ases = 0;
@@ -265,7 +269,7 @@ TEST_F(SlurmIncrementalRound, FixtureHasSlurmBearingPolicies) {
     if (world.routing().policy(asn).has_slurm()) ++slurm_ases;
   }
   EXPECT_GT(slurm_ases, 0u);
-  for (const core::RoundReport& report : *baseline_rounds_) {
+  for (const incremental::RoundReport& report : *baseline_rounds_) {
     EXPECT_GT(report.total_pairs, 0u);
     EXPECT_FALSE(report.round.scores.empty());
   }
@@ -288,7 +292,7 @@ TEST_F(SlurmIncrementalRound, EightThreadsMatchFullRecompute) {
 }
 
 TEST_F(SlurmIncrementalRound, PublishedDatasetsAreByteIdentical) {
-  core::IncrementalLongitudinalRunner runner(
+  incremental::IncrementalLongitudinalRunner runner(
       slurm_engine_config(/*incremental=*/true, /*num_threads=*/4));
   for (const util::Date date : round_dates(runner.config().params)) {
     runner.run_round(date);
@@ -312,7 +316,7 @@ TEST_F(SlurmIncrementalRound, DeltaInstallKeepsCacheAndViews) {
   // no timeline events, converged routes stay cached and the
   // materialized SLURM views survive (invalidate_all + view clearing
   // would zero both).
-  core::IncrementalLongitudinalRunner runner(
+  incremental::IncrementalLongitudinalRunner runner(
       slurm_engine_config(/*incremental=*/true, /*num_threads=*/1));
   const auto dates = round_dates(runner.config().params);
   runner.run_round(dates[0]);
@@ -357,18 +361,18 @@ TEST_F(SlurmIncrementalRound, CheckpointResumeMatchesUninterrupted) {
   // Two rounds, checkpoint, resume in a new runner at a different thread
   // count, final round bit-identical and the whole published series
   // byte-identical to the full-recompute baseline.
-  core::IncrementalLongitudinalRunner partial(
+  incremental::IncrementalLongitudinalRunner partial(
       slurm_engine_config(/*incremental=*/true, /*num_threads=*/2));
   const auto dates = round_dates(partial.config().params);
   partial.run_round(dates[0]);
   partial.run_round(dates[1]);
   const persist::CheckpointState state = partial.checkpoint_state();
 
-  core::IncrementalLongitudinalRunner resumed(
+  incremental::IncrementalLongitudinalRunner resumed(
       slurm_engine_config(/*incremental=*/true, /*num_threads=*/4));
   ASSERT_TRUE(resumed.restore(state));
   EXPECT_EQ(resumed.completed_rounds(), 2u);
-  const core::RoundReport last = resumed.run_round(dates[2]);
+  const incremental::RoundReport last = resumed.run_round(dates[2]);
   expect_bit_identical((*baseline_rounds_)[2].round, last.round,
                        "slurm resume");
 
@@ -384,6 +388,65 @@ TEST_F(SlurmIncrementalRound, CheckpointResumeMatchesUninterrupted) {
   EXPECT_EQ(read_dir(full_dir), read_dir(res_dir));
   std::filesystem::remove_all(full_dir);
   std::filesystem::remove_all(res_dir);
+}
+
+// ---------- Discovery oracle ----------
+//
+// The engine acquires vVPs and tNodes on a reader of the round's
+// published epoch (snapshot::acquire_inputs_on_epoch) and reuses the
+// previous round's lists when nothing discovery reads changed. Either
+// way the lists must equal discovery on a world built from scratch at
+// that date, in plain, SLURM-bearing and fault-injected worlds; the
+// repeated and consecutive dates exercise reuse.
+
+void expect_same_inputs(const testfx::RoundInputs& want,
+                        const std::vector<scan::Vvp>& vvps,
+                        const std::vector<scan::Tnode>& tnodes,
+                        const std::string& label) {
+  ASSERT_EQ(want.vvps.size(), vvps.size()) << label;
+  for (std::size_t i = 0; i < vvps.size(); ++i) {
+    EXPECT_EQ(want.vvps[i].address, vvps[i].address) << label << " vVP " << i;
+    EXPECT_EQ(want.vvps[i].asn, vvps[i].asn) << label << " vVP " << i;
+    EXPECT_EQ(want.vvps[i].est_background_rate, vvps[i].est_background_rate)
+        << label << " vVP " << i;
+  }
+  ASSERT_EQ(want.tnodes.size(), tnodes.size()) << label;
+  for (std::size_t i = 0; i < tnodes.size(); ++i) {
+    EXPECT_EQ(want.tnodes[i].address, tnodes[i].address)
+        << label << " tNode " << i;
+    EXPECT_EQ(want.tnodes[i].port, tnodes[i].port) << label << " tNode " << i;
+    EXPECT_EQ(want.tnodes[i].prefix, tnodes[i].prefix)
+        << label << " tNode " << i;
+    EXPECT_EQ(want.tnodes[i].origin, tnodes[i].origin)
+        << label << " tNode " << i;
+  }
+}
+
+TEST(DiscoveryOracle, EpochReaderMatchesFreshWorld) {
+  incremental::IncrementalConfig faulted =
+      engine_config(/*incremental=*/true, /*num_threads=*/1);
+  faulted.params.faults.rp_failure_rate = 0.15;
+  faulted.params.faults.rp_divergence_fraction = 0.2;
+  faulted.params.faults.rtr_drop_rate = 0.15;
+  const std::pair<const char*, incremental::IncrementalConfig> fixtures[] = {
+      {"plain", engine_config(/*incremental=*/true, /*num_threads=*/1)},
+      {"slurm", slurm_engine_config(/*incremental=*/true, /*num_threads=*/1)},
+      {"faulted", faulted}};
+  for (const auto& [name, config] : fixtures) {
+    incremental::IncrementalLongitudinalRunner runner(config);
+    std::size_t reused = 0;
+    for (const int offset : {150, 150, 151, 152, 171, 172, 215}) {
+      const util::Date date = config.params.start + offset;
+      if (runner.run_round(date).discovery_reused) ++reused;
+      const std::string label = std::string(name) + " " + date.to_string();
+      ASSERT_FALSE(runner.vvps().empty()) << label;
+      ASSERT_FALSE(runner.tnodes().empty()) << label;
+      expect_same_inputs(
+          testfx::acquire_round_inputs(config.params, date, config.rovista),
+          runner.vvps(), runner.tnodes(), label);
+    }
+    EXPECT_GT(reused, 0u) << name << ": no round reused discovery";
+  }
 }
 
 // ---------- Fault-knob zero golden regression ----------
@@ -418,9 +481,9 @@ constexpr std::uint64_t kGoldenConfigDigest = 0xb84dfbbc72591e94ull;
 
 TEST(FaultKnobZeroIncrementalRound, GoldenBytesPinnedAtAllThreadCounts) {
   for (const int threads : {1, 2, 4, 8}) {
-    const core::IncrementalConfig config =
+    const incremental::IncrementalConfig config =
         engine_config(/*incremental=*/true, threads);
-    core::IncrementalLongitudinalRunner runner(config);
+    incremental::IncrementalLongitudinalRunner runner(config);
     for (const util::Date date : round_dates(config.params)) {
       runner.run_round(date);
     }
@@ -437,7 +500,7 @@ TEST(FaultKnobZeroIncrementalRound, GoldenBytesPinnedAtAllThreadCounts) {
     const std::uint64_t checkpoint_digest =
         persist::fnv1a64(std::span<const std::uint8_t>(checkpoint));
     const std::uint64_t config_digest =
-        core::IncrementalLongitudinalRunner::config_digest(config);
+        incremental::IncrementalLongitudinalRunner::config_digest(config);
 
     char actual[128];
     std::snprintf(actual, sizeof actual,
@@ -454,107 +517,14 @@ TEST(FaultKnobZeroIncrementalRound, GoldenBytesPinnedAtAllThreadCounts) {
   }
 }
 
-// ---------- Engine equivalence (epoch-snapshot vs replica) ----------
-//
-// The epoch-snapshot engine (snapshot/world_source.h) is a pure
-// execution-strategy swap: one frozen published world shared by all
-// readers instead of a private replica per worker. Equivalence is
-// byte-level — identical rounds, identical published CSV bytes,
-// identical RVCP checkpoint container bytes — and checkpoints must
-// cross engines, which is why the engine mode stays out of the config
-// digest (like num_threads).
-
-core::IncrementalConfig engine_mode_config(snapshot::EngineMode mode,
-                                           int num_threads) {
-  core::IncrementalConfig config =
-      engine_config(/*incremental=*/true, num_threads);
-  config.engine = mode;
-  return config;
-}
-
-TEST(EngineEquivalence, SeriesCsvAndCheckpointBytesMatch) {
-  core::IncrementalLongitudinalRunner snapshot_runner(
-      engine_mode_config(snapshot::EngineMode::kSnapshot, /*num_threads=*/4));
-  core::IncrementalLongitudinalRunner replica_runner(
-      engine_mode_config(snapshot::EngineMode::kReplica, /*num_threads=*/4));
-  const auto dates = round_dates(snapshot_runner.config().params);
-  for (const util::Date date : dates) {
-    const core::RoundReport snap = snapshot_runner.run_round(date);
-    const core::RoundReport repl = replica_runner.run_round(date);
-    const std::string label = "engines @ " + date.to_string();
-    expect_bit_identical(snap.round, repl.round, label.c_str());
-  }
-
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto snap_dir = tmp / "rovista_engine_snap";
-  const auto repl_dir = tmp / "rovista_engine_repl";
-  std::filesystem::remove_all(snap_dir);
-  std::filesystem::remove_all(repl_dir);
-  ASSERT_TRUE(core::publish_scores(snapshot_runner.store(), snap_dir.string())
-                  .has_value());
-  ASSERT_TRUE(core::publish_scores(replica_runner.store(), repl_dir.string())
-                  .has_value());
-  EXPECT_EQ(read_dir(snap_dir), read_dir(repl_dir));
-  std::filesystem::remove_all(snap_dir);
-  std::filesystem::remove_all(repl_dir);
-
-  // RVCP payloads are engine-invariant down to the container bytes...
-  EXPECT_EQ(persist::encode_checkpoint(snapshot_runner.checkpoint_state()),
-            persist::encode_checkpoint(replica_runner.checkpoint_state()));
-  // ...which requires the engine mode to be excluded from the digest.
-  EXPECT_EQ(core::IncrementalLongitudinalRunner::config_digest(
-                engine_mode_config(snapshot::EngineMode::kSnapshot, 4)),
-            core::IncrementalLongitudinalRunner::config_digest(
-                engine_mode_config(snapshot::EngineMode::kReplica, 4)));
-}
-
-TEST(EngineEquivalence, CheckpointCrossesEngines) {
-  // Two rounds under the replica engine, checkpoint, resume under the
-  // snapshot engine at a different thread count: the final round and
-  // the whole published series must be byte-identical to an
-  // uninterrupted snapshot-engine run.
-  core::IncrementalLongitudinalRunner uninterrupted(
-      engine_mode_config(snapshot::EngineMode::kSnapshot, /*num_threads=*/4));
-  const auto dates = round_dates(uninterrupted.config().params);
-  std::vector<core::RoundReport> reference;
-  for (const util::Date date : dates) {
-    reference.push_back(uninterrupted.run_round(date));
-  }
-
-  core::IncrementalLongitudinalRunner partial(
-      engine_mode_config(snapshot::EngineMode::kReplica, /*num_threads=*/2));
-  partial.run_round(dates[0]);
-  partial.run_round(dates[1]);
-
-  core::IncrementalLongitudinalRunner resumed(
-      engine_mode_config(snapshot::EngineMode::kSnapshot, /*num_threads=*/8));
-  ASSERT_TRUE(resumed.restore(partial.checkpoint_state()));
-  EXPECT_EQ(resumed.completed_rounds(), 2u);
-  const core::RoundReport last = resumed.run_round(dates[2]);
-  expect_bit_identical(reference[2].round, last.round, "cross-engine resume");
-
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto ref_dir = tmp / "rovista_xengine_ref";
-  const auto res_dir = tmp / "rovista_xengine_res";
-  std::filesystem::remove_all(ref_dir);
-  std::filesystem::remove_all(res_dir);
-  ASSERT_TRUE(core::publish_scores(uninterrupted.store(), ref_dir.string())
-                  .has_value());
-  ASSERT_TRUE(
-      core::publish_scores(resumed.store(), res_dir.string()).has_value());
-  EXPECT_EQ(read_dir(ref_dir), read_dir(res_dir));
-  std::filesystem::remove_all(ref_dir);
-  std::filesystem::remove_all(res_dir);
-}
-
 TEST_F(IncrementalRound, RepeatedDateReusesEverything) {
-  core::IncrementalLongitudinalRunner runner(
+  incremental::IncrementalLongitudinalRunner runner(
       engine_config(/*incremental=*/true, /*num_threads=*/2));
   const auto dates = round_dates(runner.config().params);
-  const core::RoundReport first = runner.run_round(dates[0]);
+  const incremental::RoundReport first = runner.run_round(dates[0]);
   EXPECT_EQ(first.dirty_rows, first.total_rows);  // cold cache: all rows
 
-  const core::RoundReport again = runner.run_round(dates[0]);
+  const incremental::RoundReport again = runner.run_round(dates[0]);
   EXPECT_TRUE(again.discovery_reused);
   EXPECT_FALSE(again.matrix_reset);
   EXPECT_EQ(again.events, 0u);

@@ -3,7 +3,9 @@
 // The contract under test (core/parallel_round.h): a MeasurementRound is
 // a pure function of (scenario params, date, vVPs, tNodes, config) —
 // independent of thread count, scheduling, and repetition. The serial
-// reference is Rovista::run_round executed against one fresh replica.
+// reference is Rovista::run_round executed against one freshly built
+// world; the engine under test is the production one, a
+// ParallelRoundRunner over EpochReaders of one published epoch.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,6 +14,7 @@
 
 #include "core/parallel_round.h"
 #include "round_fixture.h"
+#include "snapshot/epoch_publisher.h"
 #include "snapshot/world_source.h"
 
 namespace {
@@ -26,16 +29,29 @@ class ParallelRound : public ::testing::Test {
     config_ = new core::RovistaConfig(testfx::round_config());
     inputs_ = new testfx::RoundInputs(
         testfx::acquire_round_inputs(*params_, date_, *config_));
-    factory_ = new core::ReplicaFactory(
-        scenario::make_replica_factory(*params_, date_));
-    // Same fixture through the epoch-snapshot engine: one immutable
-    // epoch, every worker an EpochReader borrowing it. The equivalence
-    // axis below holds both engines to the same serial reference.
-    snapshot_factory_ = new core::ReplicaFactory(snapshot::make_measurement_factory(
-        *params_, date_, snapshot::EngineMode::kSnapshot));
+    {
+      // `measure`'s path: discovery probes a reader of the published
+      // epoch, and the round measures on further readers of that epoch.
+      snapshot::EpochPublisher publisher(*params_);
+      publisher.advance_to(date_);
+      const snapshot::EpochRef epoch = publisher.publish();
+      probed_inputs_ = new testfx::RoundInputs(
+          snapshot::acquire_inputs_on_epoch(publisher.world(), epoch,
+                                            *config_));
+      probed_factory_ =
+          new core::ReplicaFactory(snapshot::make_reader_factory(epoch));
+    }
+    {
+      // The same reader factory over an epoch nobody probed, fed the
+      // fresh-world discovery inputs.
+      snapshot::EpochPublisher publisher(*params_);
+      publisher.advance_to(date_);
+      unprobed_factory_ = new core::ReplicaFactory(
+          snapshot::make_reader_factory(publisher.publish()));
+    }
 
-    // Serial reference: the plain nested-loop engine on a fresh replica
-    // world built exactly like the factory builds worker replicas.
+    // Serial reference: the plain nested-loop engine on a world built
+    // from scratch at the round date.
     scenario::Scenario world(*params_);
     world.advance_to(date_);
     scan::MeasurementClient client_a(world.plane(), world.client_as_a(),
@@ -49,25 +65,31 @@ class ParallelRound : public ::testing::Test {
 
   static void TearDownTestSuite() {
     delete serial_;
-    delete snapshot_factory_;
-    delete factory_;
+    delete unprobed_factory_;
+    delete probed_factory_;
+    delete probed_inputs_;
     delete inputs_;
     delete config_;
     delete params_;
   }
 
-  static core::MeasurementRound run_with_threads(
-      int num_threads, const core::ReplicaFactory* factory = factory_) {
+  static core::MeasurementRound run(int num_threads,
+                                    const core::ReplicaFactory& factory,
+                                    const testfx::RoundInputs& inputs) {
     core::ParallelRoundConfig config;
     config.experiment = config_->experiment;
     config.scoring = config_->scoring;
     config.num_threads = num_threads;
-    const core::ParallelRoundRunner runner(*factory, config);
-    return runner.run(inputs_->vvps, inputs_->tnodes);
+    const core::ParallelRoundRunner runner(factory, config);
+    return runner.run(inputs.vvps, inputs.tnodes);
   }
 
-  static core::MeasurementRound run_snapshot(int num_threads) {
-    return run_with_threads(num_threads, snapshot_factory_);
+  static core::MeasurementRound run_with_threads(int num_threads) {
+    return run(num_threads, *probed_factory_, *probed_inputs_);
+  }
+
+  static core::MeasurementRound run_unprobed(int num_threads) {
+    return run(num_threads, *unprobed_factory_, *inputs_);
   }
 
   static void expect_bit_identical(const core::MeasurementRound& a,
@@ -102,8 +124,9 @@ class ParallelRound : public ::testing::Test {
   static util::Date date_;
   static core::RovistaConfig* config_;
   static testfx::RoundInputs* inputs_;
-  static core::ReplicaFactory* factory_;
-  static core::ReplicaFactory* snapshot_factory_;
+  static testfx::RoundInputs* probed_inputs_;
+  static core::ReplicaFactory* probed_factory_;
+  static core::ReplicaFactory* unprobed_factory_;
   static core::MeasurementRound* serial_;
 };
 
@@ -111,8 +134,9 @@ scenario::ScenarioParams* ParallelRound::params_ = nullptr;
 util::Date ParallelRound::date_;
 core::RovistaConfig* ParallelRound::config_ = nullptr;
 testfx::RoundInputs* ParallelRound::inputs_ = nullptr;
-core::ReplicaFactory* ParallelRound::factory_ = nullptr;
-core::ReplicaFactory* ParallelRound::snapshot_factory_ = nullptr;
+testfx::RoundInputs* ParallelRound::probed_inputs_ = nullptr;
+core::ReplicaFactory* ParallelRound::probed_factory_ = nullptr;
+core::ReplicaFactory* ParallelRound::unprobed_factory_ = nullptr;
 core::MeasurementRound* ParallelRound::serial_ = nullptr;
 
 TEST_F(ParallelRound, FixtureIsNonTrivial) {
@@ -124,6 +148,12 @@ TEST_F(ParallelRound, FixtureIsNonTrivial) {
   EXPECT_GT(serial_->experiments_run, 0u);
   EXPECT_LT(serial_->inconclusive, serial_->experiments_run);
   EXPECT_FALSE(serial_->scores.empty());
+}
+
+// Thread counts 0 (`measure` without --threads) and 1 run the shards
+// inline; both must publish what N workers do.
+TEST_F(ParallelRound, ZeroThreadsMatchSerial) {
+  expect_bit_identical(*serial_, run_with_threads(0));
 }
 
 TEST_F(ParallelRound, OneThreadMatchesSerial) {
@@ -147,36 +177,31 @@ TEST_F(ParallelRound, RepeatedInvocationsBitIdentical) {
   expect_bit_identical(run_with_threads(4), run_with_threads(4));
 }
 
-// --- snapshot-vs-replica equivalence axis ---------------------------
+// --- unprobed epoch, fresh-world discovery inputs --------------------
 //
-// The epoch-snapshot engine must be observationally indistinguishable
-// from the replica engine: same serial reference, every thread count.
-// This is the license to delete the replica path (see ISSUE/DESIGN).
+// The reader factory on its own: no discovery ever touched this epoch.
+// A mismatch above but not here points at discovery on an epoch reader
+// (probes leaking into the epoch, or inputs that differ from the
+// fresh-world reference).
 
 TEST_F(ParallelRound, SnapshotEngineOneThreadMatchesSerial) {
-  expect_bit_identical(*serial_, run_snapshot(1));
+  expect_bit_identical(*serial_, run_unprobed(1));
 }
 
 TEST_F(ParallelRound, SnapshotEngineTwoThreadsMatchSerial) {
-  expect_bit_identical(*serial_, run_snapshot(2));
+  expect_bit_identical(*serial_, run_unprobed(2));
 }
 
 TEST_F(ParallelRound, SnapshotEngineFourThreadsMatchSerial) {
-  expect_bit_identical(*serial_, run_snapshot(4));
+  expect_bit_identical(*serial_, run_unprobed(4));
 }
 
 TEST_F(ParallelRound, SnapshotEngineEightThreadsMatchSerial) {
-  expect_bit_identical(*serial_, run_snapshot(8));
+  expect_bit_identical(*serial_, run_unprobed(8));
 }
 
 TEST_F(ParallelRound, SnapshotEngineRepeatedInvocationsBitIdentical) {
-  expect_bit_identical(run_snapshot(4), run_snapshot(4));
-}
-
-TEST_F(ParallelRound, EngineEquivalenceAtEveryThreadCount) {
-  for (const int threads : {1, 2, 4, 8}) {
-    expect_bit_identical(run_with_threads(threads), run_snapshot(threads));
-  }
+  expect_bit_identical(run_unprobed(4), run_unprobed(4));
 }
 
 TEST_F(ParallelRound, RovistaParallelEntryPointMatches) {
@@ -190,9 +215,9 @@ TEST_F(ParallelRound, RovistaParallelEntryPointMatches) {
   core::RovistaConfig config = *config_;
   config.num_threads = 8;
   core::Rovista rovista(world.plane(), client_a, client_b, config);
-  expect_bit_identical(
-      *serial_,
-      rovista.run_round_parallel(*factory_, inputs_->vvps, inputs_->tnodes));
+  expect_bit_identical(*serial_,
+                       rovista.run_round_parallel(
+                           *unprobed_factory_, inputs_->vvps, inputs_->tnodes));
 }
 
 TEST_F(ParallelRound, CloneFreshPlaneIsIndependentAndPristine) {

@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -48,16 +49,17 @@
 
 #include "analytics/queries.h"
 #include "bgp/mrt.h"
-#include "core/incremental_runner.h"
 #include "core/publish.h"
 #include "core/rovista.h"
 #include "dataplane/traceroute.h"
+#include "incremental/longitudinal_engine.h"
 #include "persist/checkpoint.h"
 #include "persist/checkpoint_io.h"
 #include "persist/wire.h"
 #include "scenario/scenario.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
+#include "snapshot/epoch_publisher.h"
 #include "snapshot/world_source.h"
 #include "util/csv.h"
 #include "util/strings.h"
@@ -104,20 +106,38 @@ std::optional<Args> parse_args(int argc, char** argv, int from,
   return args;
 }
 
-/// --engine snapshot|replica (default snapshot): which world engine
-/// backs parallel measurement (snapshot/world_source.h). Output is
-/// engine-invariant; the flag exists so the tier-1 equivalence stages
-/// can byte-diff the two. Returns nullopt on a bad value.
-std::optional<snapshot::EngineMode> parse_engine(const Args& args) {
-  const char* engine = args.get("engine", "snapshot");
-  if (std::strcmp(engine, "snapshot") == 0) {
-    return snapshot::EngineMode::kSnapshot;
+// Typed flag readers. An absent flag leaves `out` at its default; a
+// malformed value is refused with a one-line error (false; the caller
+// exits 2) instead of silently running on the default.
+bool read_u64(const Args& args, const char* flag, std::uint64_t& out) {
+  const char* v = args.get(flag);
+  if (v == nullptr || util::parse_u64(v, out)) return true;
+  std::fprintf(stderr, "error: --%s wants a non-negative integer, got '%s'\n",
+               flag, v);
+  return false;
+}
+
+bool read_date(const Args& args, const char* flag, util::Date& out) {
+  const char* v = args.get(flag);
+  if (v == nullptr || util::Date::parse(v, out)) return true;
+  std::fprintf(stderr, "error: --%s wants a date YYYY-MM-DD, got '%s'\n",
+               flag, v);
+  return false;
+}
+
+/// A real number in [lo, hi].
+bool read_double(const Args& args, const char* flag, double& out, double lo,
+                 double hi) {
+  const char* v = args.get(flag);
+  if (v == nullptr) return true;
+  double x = 0.0;
+  if (util::parse_double(v, x) && x >= lo && x <= hi) {
+    out = x;
+    return true;
   }
-  if (std::strcmp(engine, "replica") == 0) {
-    return snapshot::EngineMode::kReplica;
-  }
-  std::fprintf(stderr, "error: --engine must be snapshot or replica\n");
-  return std::nullopt;
+  std::fprintf(stderr, "error: --%s wants a number in [%g, %g], got '%s'\n",
+               flag, lo, hi, v);
+  return false;
 }
 
 /// --topology caida:FILE | synthetic:FACTOR (default synthetic:1).
@@ -166,15 +186,12 @@ int usage() {
       stderr,
       "usage: rovista <command> [options]\n"
       "  measure --seed N --date YYYY-MM-DD --out DIR [--mrt FILE]\n"
-      "          [--threads N] [--engine snapshot|replica]\n"
-      "          [--topology caida:FILE|synthetic:FACTOR]\n"
+      "          [--threads N] [--topology caida:FILE|synthetic:FACTOR]\n"
       "          run one round, publish scores, optionally archive the\n"
       "          collector table as an MRT TABLE_DUMP_V2 file;\n"
-      "          --threads shards the round by vVP across worker\n"
-      "          replicas (output bit-identical for any count >= 1 and\n"
-      "          either engine, see DESIGN.md); --engine picks the world\n"
-      "          engine: snapshot (default, one immutable epoch shared\n"
-      "          by all workers) or replica (full private world each);\n"
+      "          --threads shards the round by vVP across readers of one\n"
+      "          published world (output bit-identical for any count,\n"
+      "          omitted and 0 included; see DESIGN.md);\n"
       "          --topology swaps the simulated Internet: a CAIDA\n"
       "          serial-2 as-rel file (docs/FORMATS.md section 4) or a\n"
       "          scaled synthetic world (FACTOR 1..64 multiplies transit\n"
@@ -184,8 +201,7 @@ int usage() {
       "  audit   --seed N --asn N [--date YYYY-MM-DD]   audit one AS\n"
       "  longitudinal --seed N --rounds N [--interval-days N]\n"
       "          [--start YYYY-MM-DD] [--threads N] [--incremental on|off]\n"
-      "          [--engine snapshot|replica] [--out FILE]\n"
-      "          [--publish DIR] [--scale small|paper]\n"
+      "          [--out FILE] [--publish DIR] [--scale small|paper]\n"
       "          [--slurm-fraction F]\n"
       "          [--rp-failure-rate F] [--rp-divergence-fraction F]\n"
       "          [--rtr-drop-rate F]\n"
@@ -263,89 +279,71 @@ int usage() {
   return 2;
 }
 
-struct MeasuredWorld {
-  scenario::ScenarioParams params;
-  std::unique_ptr<scenario::Scenario> scenario;
-  std::unique_ptr<scan::MeasurementClient> client_a;
-  std::unique_ptr<scan::MeasurementClient> client_b;
-  std::unique_ptr<core::Rovista> rovista;
-  std::vector<scan::Tnode> tnodes;
-};
-
-MeasuredWorld build_world(scenario::ScenarioParams params, util::Date date,
-                          int num_threads = 0) {
-  MeasuredWorld world;
-  world.params = params;
-  world.scenario = std::make_unique<scenario::Scenario>(std::move(params));
-  if (date < world.scenario->start()) date = world.scenario->start();
-  if (date > world.scenario->end()) date = world.scenario->end();
-  world.scenario->advance_to(date);
-  world.client_a = std::make_unique<scan::MeasurementClient>(
-      world.scenario->plane(), world.scenario->client_as_a(),
-      world.scenario->client_addr_a());
-  world.client_b = std::make_unique<scan::MeasurementClient>(
-      world.scenario->plane(), world.scenario->client_as_b(),
-      world.scenario->client_addr_b());
+// The measurement settings every round-running command shares.
+core::RovistaConfig round_config(std::uint64_t threads) {
   core::RovistaConfig config;
   config.scoring.min_vvps_per_as = 2;
   config.scoring.min_tnodes = 3;
-  config.num_threads = num_threads;
-  world.rovista = std::make_unique<core::Rovista>(
-      world.scenario->plane(), *world.client_a, *world.client_b, config);
-  const auto view =
-      world.scenario->collector().snapshot(world.scenario->routing());
-  world.tnodes = world.rovista->acquire_tnodes(
-      view, world.scenario->current_vrps(),
-      world.scenario->rov_reference_ases(date, 10),
-      world.scenario->non_rov_reference_ases(date, 10));
-  return world;
+  config.num_threads = static_cast<int>(threads);
+  return config;
+}
+
+// measure and audit: build one world at `date` (clamped to the scenario
+// window) and publish it as one epoch. Discovery probes a reader of that
+// epoch and the round measures on further readers of it, so every
+// --threads value measures the same unprobed world.
+snapshot::EpochRef publish_round_world(snapshot::EpochPublisher& publisher,
+                                       util::Date date) {
+  const scenario::Scenario& world = publisher.world();
+  publisher.advance_to(std::clamp(date, world.start(), world.end()));
+  return publisher.publish();
+}
+
+// The (vVP, tNode) matrix on readers of `epoch`, sharded across
+// config.num_threads workers (0 and 1 run it inline).
+core::MeasurementRound measure_epoch(const snapshot::EpochRef& epoch,
+                                     const snapshot::RoundInputs& inputs,
+                                     const core::RovistaConfig& config) {
+  const core::ParallelRoundRunner runner(
+      snapshot::make_reader_factory(epoch),
+      {config.experiment, config.scoring, config.num_threads});
+  return runner.run(inputs.vvps, inputs.tnodes);
 }
 
 int cmd_measure(const Args& args) {
+  std::uint64_t seed = 42;
+  util::Date date = util::Date::from_ymd(2023, 9, 12);
+  std::uint64_t threads = 0;
+  if (!read_u64(args, "seed", seed) || !read_date(args, "date", date) ||
+      !read_u64(args, "threads", threads)) {
+    return 2;
+  }
   const char* out = args.get("out");
   if (out == nullptr) return usage();
-  std::uint64_t seed = 42;
-  if (const char* s = args.get("seed")) util::parse_u64(s, seed);
-  util::Date date = util::Date::from_ymd(2023, 9, 12);
-  if (const char* d = args.get("date")) util::Date::parse(d, date);
-  std::uint64_t threads = 0;
-  if (const char* t = args.get("threads")) util::parse_u64(t, threads);
-  const std::optional<snapshot::EngineMode> engine = parse_engine(args);
-  if (!engine.has_value()) return usage();
   scenario::ScenarioParams params;
   params.seed = seed;
   if (!parse_topology(args, params)) return usage();
 
   std::printf("building world (seed %llu) ...\n",
               static_cast<unsigned long long>(seed));
-  MeasuredWorld world =
-      build_world(std::move(params), date, static_cast<int>(threads));
-  std::printf("ASes: %zu, tNodes: %zu\n", world.scenario->graph().size(),
-              world.tnodes.size());
-  const auto vvps =
-      world.rovista->acquire_vvps(world.scenario->vvp_candidates());
-  std::printf("vVPs: %zu\n", vvps.size());
-  core::MeasurementRound round;
-  if (threads >= 1) {
-    // Parallel for any explicit --threads (including 1, so thread
-    // counts stay comparable): vVP-sharded workers on private worlds
-    // from the one measurement factory (snapshot/world_source.h),
-    // bit-identical output regardless of count or engine. Without
-    // --threads the round runs serially on the shared discovery world.
-    std::printf("measuring with %llu worker threads (%s engine)\n",
-                static_cast<unsigned long long>(threads),
-                snapshot::engine_mode_name(*engine));
-    const auto factory = snapshot::make_measurement_factory(
-        world.params, world.scenario->current(), *engine);
-    round = world.rovista->run_round_parallel(factory, vvps, world.tnodes);
-  } else {
-    round = world.rovista->run_round(vvps, world.tnodes);
-  }
+  snapshot::EpochPublisher publisher(std::move(params));
+  scenario::Scenario& world = publisher.world();
+  const snapshot::EpochRef epoch = publish_round_world(publisher, date);
+  const core::RovistaConfig config = round_config(threads);
+  const snapshot::RoundInputs inputs =
+      snapshot::acquire_inputs_on_epoch(world, epoch, config);
+  std::printf("ASes: %zu, tNodes: %zu\n", world.graph().size(),
+              inputs.tnodes.size());
+  std::printf("vVPs: %zu\n", inputs.vvps.size());
+  std::printf("measuring with %llu worker threads\n",
+              static_cast<unsigned long long>(std::max<std::uint64_t>(
+                  threads, 1)));
+  const core::MeasurementRound round = measure_epoch(epoch, inputs, config);
   std::printf("experiments: %zu, ASes scored: %zu\n", round.experiments_run,
               round.scores.size());
 
   core::LongitudinalStore store;
-  store.record(world.scenario->current(), round.scores);
+  store.record(world.current(), round.scores);
   const auto written = core::publish_scores(store, out);
   if (!written.has_value()) {
     std::fprintf(stderr, "error: could not write %s\n", out);
@@ -356,11 +354,10 @@ int cmd_measure(const Args& args) {
   // Also archive the collector's table the way RouteViews would: an MRT
   // TABLE_DUMP_V2 file next to the score dataset.
   if (const char* mrt_path = args.get("mrt")) {
-    const auto view =
-        world.scenario->collector().snapshot(world.scenario->routing());
+    const auto view = world.collector().snapshot(epoch->shared_routing());
     const auto bytes = bgp::mrt::export_table_dump(
         view, static_cast<std::uint32_t>(
-                  world.scenario->current().days_since_epoch() * 86400));
+                  world.current().days_since_epoch() * 86400));
     std::ofstream f(mrt_path, std::ios::binary);
     f.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -409,44 +406,46 @@ int cmd_query(const Args& args) {
 }
 
 int cmd_audit(const Args& args) {
-  const char* asn_str = args.get("asn");
-  if (asn_str == nullptr) return usage();
   std::uint64_t asn64 = 0;
-  if (!util::parse_u64(asn_str, asn64)) return usage();
-  const auto asn = static_cast<core::Asn>(asn64);
   std::uint64_t seed = 42;
-  if (const char* s = args.get("seed")) util::parse_u64(s, seed);
   util::Date date = util::Date::from_ymd(2023, 9, 12);
-  if (const char* d = args.get("date")) util::Date::parse(d, date);
+  if (!read_u64(args, "asn", asn64) || !read_u64(args, "seed", seed) ||
+      !read_date(args, "date", date)) {
+    return 2;
+  }
+  if (!args.has("asn")) return usage();
+  const auto asn = static_cast<core::Asn>(asn64);
 
   scenario::ScenarioParams params;
   params.seed = seed;
-  MeasuredWorld world = build_world(std::move(params), date);
-  auto& s = *world.scenario;
-  if (!s.graph().contains(asn)) {
+  snapshot::EpochPublisher publisher(std::move(params));
+  scenario::Scenario& world = publisher.world();
+  if (!world.graph().contains(asn)) {
     std::fprintf(stderr, "error: AS%u does not exist in this world\n", asn);
     return 1;
   }
-
-  std::vector<net::Ipv4Address> candidates;
-  for (const auto addr : s.vvp_candidates()) {
-    if (s.plane().as_of(addr) == asn) candidates.push_back(addr);
-  }
-  const auto vvps = world.rovista->acquire_vvps(candidates);
-  if (vvps.empty()) {
+  const snapshot::EpochRef epoch = publish_round_world(publisher, date);
+  const core::RovistaConfig config = round_config(0);
+  snapshot::RoundInputs inputs =
+      snapshot::acquire_inputs_on_epoch(world, epoch, config);
+  std::erase_if(inputs.vvps,
+                [asn](const scan::Vvp& vvp) { return vvp.asn != asn; });
+  if (inputs.vvps.empty()) {
     std::printf("AS%u has no usable vVPs — unmeasurable from outside\n",
                 asn);
     return 0;
   }
-  const auto round = world.rovista->run_round(vvps, world.tnodes);
+  const core::MeasurementRound round = measure_epoch(epoch, inputs, config);
   for (const auto& score : round.scores) {
     if (score.asn != asn) continue;
     std::printf("AS%u ROV protection score: %.1f%% (%d vVPs, %d tNodes)\n",
                 asn, score.score, score.vvp_count, score.tnodes_consistent);
     if (score.score < 100.0) {
       std::printf("reachable RPKI-invalid destinations:\n");
-      for (const auto& tnode : world.tnodes) {
-        const auto tr = dataplane::tcp_traceroute(s.plane(), asn,
+      const std::unique_ptr<snapshot::EpochReader> reader =
+          snapshot::make_reader(epoch);
+      for (const auto& tnode : inputs.tnodes) {
+        const auto tr = dataplane::tcp_traceroute(reader->plane(), asn,
                                                   tnode.address, tnode.port);
         if (!tr.reached) continue;
         std::string path;
@@ -465,17 +464,22 @@ int cmd_audit(const Args& args) {
 
 int cmd_longitudinal(const Args& args) {
   std::uint64_t seed = 42;
-  if (const char* s = args.get("seed")) util::parse_u64(s, seed);
   std::uint64_t rounds = 0;
-  if (const char* r = args.get("rounds")) util::parse_u64(r, rounds);
-  if (rounds == 0) return usage();
   std::uint64_t interval_days = 30;
-  if (const char* i = args.get("interval-days")) {
-    util::parse_u64(i, interval_days);
-  }
-  if (interval_days == 0) interval_days = 1;
   std::uint64_t threads = 0;
-  if (const char* t = args.get("threads")) util::parse_u64(t, threads);
+  std::uint64_t checkpoint_every = 1;
+  // Test hook for the tier-1 crash-safety stage: simulate a process
+  // death (no destructors, no exit checkpoint) after N completed rounds.
+  std::uint64_t die_after = 0;
+  if (!read_u64(args, "seed", seed) || !read_u64(args, "rounds", rounds) ||
+      !read_u64(args, "interval-days", interval_days) ||
+      !read_u64(args, "threads", threads) ||
+      !read_u64(args, "checkpoint-every", checkpoint_every) ||
+      !read_u64(args, "die-after", die_after)) {
+    return 2;
+  }
+  if (rounds == 0) return usage();
+  if (interval_days == 0) interval_days = 1;
   const char* mode = args.get("incremental", "on");
   if (std::strcmp(mode, "on") != 0 && std::strcmp(mode, "off") != 0) {
     return usage();
@@ -485,16 +489,10 @@ int cmd_longitudinal(const Args& args) {
     return usage();
   }
 
-  const std::optional<snapshot::EngineMode> engine = parse_engine(args);
-  if (!engine.has_value()) return usage();
-
-  core::IncrementalConfig config;
+  incremental::IncrementalConfig config;
   config.params.seed = seed;
-  config.rovista.scoring.min_vvps_per_as = 2;
-  config.rovista.scoring.min_tnodes = 3;
-  config.rovista.num_threads = static_cast<int>(threads);
+  config.rovista = round_config(threads);
   config.incremental = std::strcmp(mode, "on") == 0;
-  config.engine = *engine;
   if (std::strcmp(scale, "small") == 0) {
     // The tests' standard small world (tests/round_fixture.h) — fast
     // enough for CI series like the tier-1 kill/resume stage.
@@ -508,42 +506,24 @@ int cmd_longitudinal(const Args& args) {
     config.params.collector_peer_count = 30;
     config.rovista.scoring.min_tnodes = 2;
   }
-  if (const char* sf = args.get("slurm-fraction")) {
-    // Fraction of ROV deployers carrying RFC 8416 local exceptions;
-    // exercises the per-view delta-invalidation path of apply_vrp_delta.
-    double slurm_fraction = 0.0;
-    if (!util::parse_double(sf, slurm_fraction) || slurm_fraction < 0.0 ||
-        slurm_fraction > 1.0) {
-      std::fprintf(stderr, "error: --slurm-fraction must be in [0,1]\n");
-      return usage();
-    }
-    config.params.slurm_fraction = slurm_fraction;
-  }
-  // Fault-injection knobs (faults/fault_schedule.h). All default to 0;
-  // a knob-0 run splits no fault RNG stream and produces bytes identical
-  // to a fault-free build.
-  const auto parse_fault_rate = [&](const char* flag, double& out) -> bool {
-    const char* v = args.get(flag);
-    if (v == nullptr) return true;
-    double rate = 0.0;
-    if (!util::parse_double(v, rate) || rate < 0.0 || rate > 1.0) {
-      std::fprintf(stderr, "error: --%s must be in [0,1]\n", flag);
-      return false;
-    }
-    out = rate;
-    return true;
-  };
-  if (!parse_fault_rate("rp-failure-rate",
-                        config.params.faults.rp_failure_rate) ||
-      !parse_fault_rate("rp-divergence-fraction",
-                        config.params.faults.rp_divergence_fraction) ||
-      !parse_fault_rate("rtr-drop-rate", config.params.faults.rtr_drop_rate)) {
-    return usage();
-  }
-  const bool faulted = config.params.faults.enabled();
-
+  // --slurm-fraction: the share of ROV deployers carrying RFC 8416
+  // local exceptions; exercises the per-view delta-invalidation path of
+  // apply_vrp_delta. Fault-injection knobs (faults/fault_schedule.h)
+  // all default to 0; a knob-0 run splits no fault RNG stream and
+  // produces bytes identical to a fault-free build.
+  faults::FaultParams& faults = config.params.faults;
   util::Date start_date = config.params.start;
-  if (const char* d = args.get("start")) util::Date::parse(d, start_date);
+  if (!read_double(args, "slurm-fraction", config.params.slurm_fraction, 0.0,
+                   1.0) ||
+      !read_double(args, "rp-failure-rate", faults.rp_failure_rate, 0.0,
+                   1.0) ||
+      !read_double(args, "rp-divergence-fraction",
+                   faults.rp_divergence_fraction, 0.0, 1.0) ||
+      !read_double(args, "rtr-drop-rate", faults.rtr_drop_rate, 0.0, 1.0) ||
+      !read_date(args, "start", start_date)) {
+    return 2;
+  }
+  const bool faulted = faults.enabled();
 
   // Round i measures at min(start + i * interval, scenario end) — the
   // closed form makes the date sequence a function of the round index,
@@ -558,11 +538,7 @@ int cmd_longitudinal(const Args& args) {
   if (args.has("checkpoint-dir")) {
     config.checkpoint_dir = args.get("checkpoint-dir", "");
     if (config.checkpoint_dir.empty()) return usage();
-    std::uint64_t every = 1;
-    if (const char* e = args.get("checkpoint-every")) {
-      util::parse_u64(e, every);
-    }
-    config.checkpoint_every = static_cast<int>(every);
+    config.checkpoint_every = static_cast<int>(checkpoint_every);
     // Series-shape guard: the engine digest covers the world and the
     // measurement config; this covers the CLI-level schedule, so a
     // checkpoint from a differently-paced series is refused on resume.
@@ -581,15 +557,10 @@ int cmd_longitudinal(const Args& args) {
     if (config.archive_dir.empty()) return usage();
   }
 
-  // Test hook for the tier-1 crash-safety stage: simulate a process
-  // death (no destructors, no exit checkpoint) after N completed rounds.
-  std::uint64_t die_after = 0;
-  if (const char* d = args.get("die-after")) util::parse_u64(d, die_after);
-
   std::printf("running %llu rounds (seed %llu, incremental %s) ...\n",
               static_cast<unsigned long long>(rounds),
               static_cast<unsigned long long>(seed), mode);
-  core::IncrementalLongitudinalRunner runner(config);
+  incremental::IncrementalLongitudinalRunner runner(config);
 
   std::uint64_t first_round = 0;
   if (args.has("resume")) {
@@ -615,7 +586,7 @@ int cmd_longitudinal(const Args& args) {
   }
   csv += '\n';
   for (std::uint64_t i = first_round; i < rounds; ++i) {
-    const core::RoundReport report = runner.run_round(round_date(i));
+    const incremental::RoundReport report = runner.run_round(round_date(i));
     std::printf(
         "%s  events=%zu vrp+%zu/-%zu dirty_prefixes=%zu rows %zu/%zu "
         "pairs %zu run / %zu cached  ases=%zu\n",
@@ -877,38 +848,33 @@ int cmd_checkpoint_inspect(const Args& args) {
 
 int cmd_serve(const Args& args) {
   std::uint64_t seed = 42;
-  if (const char* s = args.get("seed")) util::parse_u64(s, seed);
   std::uint64_t rounds = 0;
-  if (const char* r = args.get("rounds")) util::parse_u64(r, rounds);
-  if (rounds == 0) return usage();
   std::uint64_t interval_days = 30;
-  if (const char* i = args.get("interval-days")) {
-    util::parse_u64(i, interval_days);
-  }
-  if (interval_days == 0) interval_days = 1;
   std::uint64_t threads = 0;
-  if (const char* t = args.get("threads")) util::parse_u64(t, threads);
+  std::uint64_t port = 0;
+  std::uint64_t workers = 2;
+  std::uint64_t checkpoint_every = 1;
+  std::uint64_t warn_depth = 0;
+  if (!read_u64(args, "seed", seed) || !read_u64(args, "rounds", rounds) ||
+      !read_u64(args, "interval-days", interval_days) ||
+      !read_u64(args, "threads", threads) || !read_u64(args, "port", port) ||
+      !read_u64(args, "workers", workers) ||
+      !read_u64(args, "checkpoint-every", checkpoint_every) ||
+      !read_u64(args, "warn-depth", warn_depth)) {
+    return 2;
+  }
+  if (rounds == 0 || port > 65535) return usage();
+  if (interval_days == 0) interval_days = 1;
   const char* scale = args.get("scale", "paper");
   if (std::strcmp(scale, "paper") != 0 && std::strcmp(scale, "small") != 0) {
     return usage();
   }
-  std::uint64_t port = 0;
-  if (const char* p = args.get("port")) {
-    if (!util::parse_u64(p, port) || port > 65535) return usage();
-  }
-  std::uint64_t workers = 2;
-  if (const char* w = args.get("workers")) util::parse_u64(w, workers);
   if (workers == 0) workers = 1;
 
-  core::IncrementalConfig config;
+  incremental::IncrementalConfig config;
   config.params.seed = seed;
-  config.rovista.scoring.min_vvps_per_as = 2;
-  config.rovista.scoring.min_tnodes = 3;
-  config.rovista.num_threads = static_cast<int>(threads);
+  config.rovista = round_config(threads);
   config.incremental = true;
-  // Reachability serves traceroutes off published epochs, so the
-  // query daemon always runs the snapshot engine.
-  config.engine = snapshot::EngineMode::kSnapshot;
   if (std::strcmp(scale, "small") == 0) {
     config.params.topology.tier1_count = 4;
     config.params.topology.tier2_count = 14;
@@ -922,7 +888,7 @@ int cmd_serve(const Args& args) {
   }
 
   util::Date start_date = config.params.start;
-  if (const char* d = args.get("start")) util::Date::parse(d, start_date);
+  if (!read_date(args, "start", start_date)) return 2;
   const util::Date series_end = config.params.end;
   const auto round_date = [&](std::uint64_t i) {
     util::Date d = start_date + static_cast<int>(i * interval_days);
@@ -933,11 +899,7 @@ int cmd_serve(const Args& args) {
   if (args.has("checkpoint-dir")) {
     config.checkpoint_dir = args.get("checkpoint-dir", "");
     if (config.checkpoint_dir.empty()) return usage();
-    std::uint64_t every = 1;
-    if (const char* e = args.get("checkpoint-every")) {
-      util::parse_u64(e, every);
-    }
-    config.checkpoint_every = static_cast<int>(every);
+    config.checkpoint_every = static_cast<int>(checkpoint_every);
     // Same series-shape tag as cmd_longitudinal: a serve daemon resumes
     // checkpoints written by an equally-paced longitudinal series.
     persist::ByteWriter tag;
@@ -963,9 +925,7 @@ int cmd_serve(const Args& args) {
   sigaddset(&sigs, SIGINT);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
-  core::IncrementalLongitudinalRunner runner(config);
-  std::uint64_t warn_depth = 0;
-  if (const char* w = args.get("warn-depth")) util::parse_u64(w, warn_depth);
+  incremental::IncrementalLongitudinalRunner runner(config);
   if (warn_depth > 0) {
     runner.publisher().set_live_epoch_warn_depth(
         static_cast<long>(warn_depth));
@@ -1014,7 +974,7 @@ int cmd_serve(const Args& args) {
   std::thread round_thread([&] {
     for (std::uint64_t i = first_round;
          i < rounds && !stop.load(std::memory_order_relaxed); ++i) {
-      const core::RoundReport report = runner.run_round(round_date(i));
+      const incremental::RoundReport report = runner.run_round(round_date(i));
       feed->publish(report.date, report.round.scores,
                     runner.publisher().current());
       std::printf("ROUND %s ases=%zu live_epochs=%ld\n",
@@ -1051,58 +1011,42 @@ int cmd_serve(const Args& args) {
 int cmd_loadgen(const Args& args) {
   serve::LoadgenOptions options;
   std::uint64_t port = 0;
-  if (const char* p = args.get("port")) util::parse_u64(p, port);
+  std::uint64_t connections = static_cast<std::uint64_t>(options.connections);
+  std::uint64_t threads = static_cast<std::uint64_t>(options.threads);
+  std::uint64_t pipeline = static_cast<std::uint64_t>(options.pipeline);
+  std::uint64_t reach_dst = options.reach_dst;
+  std::uint64_t reach_port = options.reach_port;
+  std::uint64_t timeout_ms = static_cast<std::uint64_t>(options.timeout_ms);
+  if (!read_u64(args, "port", port) ||
+      !read_u64(args, "requests", options.requests) ||
+      !read_u64(args, "connections", connections) ||
+      !read_u64(args, "threads", threads) ||
+      !read_u64(args, "pipeline", pipeline) ||
+      !read_u64(args, "reach-dst", reach_dst) ||
+      !read_u64(args, "reach-port", reach_port) ||
+      !read_u64(args, "seed", options.seed) ||
+      !read_u64(args, "timeout-ms", timeout_ms) ||
+      !read_double(args, "rate", options.rate, 0.0,
+                   std::numeric_limits<double>::infinity()) ||
+      !read_double(args, "traj-fraction", options.trajectory_fraction, 0.0,
+                   1.0) ||
+      !read_double(args, "reach-fraction", options.reach_fraction, 0.0, 1.0)) {
+    return 2;
+  }
   if (port == 0 || port > 65535) return usage();
-  options.port = static_cast<std::uint16_t>(port);
-  options.host = args.get("host", "127.0.0.1");
-
-  std::uint64_t u = 0;
-  if (const char* v = args.get("requests")) {
-    if (!util::parse_u64(v, options.requests)) return usage();
-  }
-  if (const char* v = args.get("connections")) {
-    if (!util::parse_u64(v, u)) return usage();
-    options.connections = static_cast<int>(u);
-  }
-  if (const char* v = args.get("threads")) {
-    if (!util::parse_u64(v, u)) return usage();
-    options.threads = static_cast<int>(u);
-  }
-  if (const char* v = args.get("pipeline")) {
-    if (!util::parse_u64(v, u)) return usage();
-    options.pipeline = static_cast<int>(u);
-  }
-  if (const char* v = args.get("rate")) {
-    if (!util::parse_double(v, options.rate) || options.rate < 0.0) {
-      return usage();
-    }
-  }
-  const auto parse_fraction = [&](const char* flag, double& out) -> bool {
-    const char* v = args.get(flag);
-    if (v == nullptr) return true;
-    return util::parse_double(v, out) && out >= 0.0 && out <= 1.0;
-  };
-  if (!parse_fraction("traj-fraction", options.trajectory_fraction) ||
-      !parse_fraction("reach-fraction", options.reach_fraction)) {
-    return usage();
-  }
-  if (const char* v = args.get("reach-dst")) {
-    if (!util::parse_u64(v, u)) return usage();
-    options.reach_dst = static_cast<std::uint32_t>(u);
-  } else if (options.reach_fraction > 0.0) {
+  if (options.reach_fraction > 0.0 && !args.has("reach-dst")) {
     std::fprintf(stderr,
                  "error: --reach-fraction above 0 needs --reach-dst\n");
     return 2;
   }
-  if (const char* v = args.get("reach-port")) {
-    if (!util::parse_u64(v, u)) return usage();
-    options.reach_port = static_cast<std::uint16_t>(u);
-  }
-  if (const char* v = args.get("seed")) util::parse_u64(v, options.seed);
-  if (const char* v = args.get("timeout-ms")) {
-    if (!util::parse_u64(v, u)) return usage();
-    options.timeout_ms = static_cast<int>(u);
-  }
+  options.port = static_cast<std::uint16_t>(port);
+  options.host = args.get("host", "127.0.0.1");
+  options.connections = static_cast<int>(connections);
+  options.threads = static_cast<int>(threads);
+  options.pipeline = static_cast<int>(pipeline);
+  options.reach_dst = static_cast<std::uint32_t>(reach_dst);
+  options.reach_port = static_cast<std::uint16_t>(reach_port);
+  options.timeout_ms = static_cast<int>(timeout_ms);
   const char* record = args.get("record");
   options.record = record != nullptr;
 
@@ -1191,12 +1135,12 @@ struct Command {
 
 const Command kCommands[] = {
     {"measure", cmd_measure,
-     {"seed", "date", "out", "threads", "engine", "topology", "mrt"}},
+     {"seed", "date", "out", "threads", "topology", "mrt"}},
     {"query", cmd_query, {"dir", "asn"}},
     {"audit", cmd_audit, {"seed", "asn", "date"}},
     {"longitudinal", cmd_longitudinal,
      {"seed", "rounds", "interval-days", "start", "threads", "incremental",
-      "engine", "out", "publish", "scale", "slurm-fraction",
+      "out", "publish", "scale", "slurm-fraction",
       "rp-failure-rate", "rp-divergence-fraction", "rtr-drop-rate",
       "checkpoint-dir", "checkpoint-every", "resume", "archive",
       "die-after"}},
