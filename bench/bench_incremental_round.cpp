@@ -18,10 +18,14 @@
 // RoutingSystem::apply_vrp_delta. The SLURM columns pin that local
 // exceptions no longer cost a full invalidation.
 //
+// Both comparisons run on the fixture world at seed 11 and again at seed
+// 42 (the CLI's default seed), each in its own quiet window.
+//
 // Every incremental round is checked bit-identical to the full
 // recompute, so the reported speedup can never come from skipped work
-// that mattered. Results go to BENCH_incremental.json; exits non-zero
-// if outputs diverge or either 10-round speedup falls below 5x.
+// that mattered. Results go to BENCH_incremental.json, with the host
+// block (bench::host_json); exits non-zero if outputs diverge or any
+// 10-round speedup falls below 5x.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -48,9 +52,9 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-scenario::ScenarioParams fixture_params() {
+scenario::ScenarioParams fixture_params(std::uint64_t seed) {
   scenario::ScenarioParams params;
-  params.seed = 11;
+  params.seed = seed;
   params.topology.tier1_count = 6;
   params.topology.tier2_count = 20;
   params.topology.tier3_count = 50;
@@ -299,63 +303,95 @@ void write_totals(std::FILE* f, const char* indent,
                trailing_comma ? "," : "");
 }
 
-void write_json(const std::string& path,
-                const scenario::ScenarioParams& params,
-                const ConfigResult& base, const ConfigResult& slurm) {
+// Both comparisons on the fixture world of one seed.
+struct SeedResult {
+  scenario::ScenarioParams params;
+  ConfigResult base;
+  ConfigResult slurm;
+};
+
+std::optional<SeedResult> run_seed(std::uint64_t seed) {
+  SeedResult result;
+  result.params = fixture_params(seed);
+  std::printf("seed %llu: probing the timeline for a %d-day quiet stretch "
+              "...\n",
+              static_cast<unsigned long long>(seed), kRounds * kIntervalDays);
+  const auto quiet = find_quiet_window(result.params, kRounds * kIntervalDays);
+  if (!quiet.has_value()) return std::nullopt;
+  std::printf("quiet window starts %s\n", quiet->to_string().c_str());
+
+  result.base = run_config("base ", result.params, *quiet);
+  scenario::ScenarioParams slurm_params = result.params;
+  slurm_params.slurm_fraction = kSlurmFraction;
+  result.slurm = run_config("slurm", slurm_params, *quiet);
+  return result;
+}
+
+// One seed's keys, each line prefixed by `indent`.
+void write_seed(std::FILE* f, const std::string& indent,
+                const SeedResult& r) {
+  const std::string in2 = indent + "  ";
+  const std::string in3 = in2 + "  ";
+  std::fprintf(f,
+               "%s\"scenario\": {\"seed\": %llu, \"rounds\": %d, "
+               "\"interval_days\": %d, \"threads\": %d, "
+               "\"churn_roas_per_round\": %d},\n",
+               indent.c_str(), static_cast<unsigned long long>(r.params.seed),
+               kRounds, kIntervalDays, kThreads, kChurnRoasPerRound);
+  std::fprintf(f, "%s\"rounds\": [\n", indent.c_str());
+  write_samples(f, in2.c_str(), r.base.samples);
+  std::fprintf(f, "%s],\n", indent.c_str());
+  write_totals(f, indent.c_str(), r.base, /*trailing_comma=*/true);
+  std::fprintf(f, "%s\"slurm\": {\n", indent.c_str());
+  std::fprintf(f, "%s\"slurm_fraction\": %.2f,\n", in2.c_str(),
+               kSlurmFraction);
+  std::fprintf(f, "%s\"rounds\": [\n", in2.c_str());
+  write_samples(f, in3.c_str(), r.slurm.samples);
+  std::fprintf(f, "%s],\n", in2.c_str());
+  write_totals(f, in2.c_str(), r.slurm, /*trailing_comma=*/false);
+  std::fprintf(f, "%s}", indent.c_str());
+}
+
+// Seed 11's keys at the top level, as before seed 42 joined; seed 42's
+// in a "seed42" block of the same shape when it had a quiet window.
+void write_json(const std::string& path, const SeedResult& seed11,
+                const std::optional<SeedResult>& seed42) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
     std::exit(1);
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"scenario\": {\"seed\": %llu, \"rounds\": %d, "
-               "\"interval_days\": %d, \"threads\": %d, "
-               "\"churn_roas_per_round\": %d},\n",
-               static_cast<unsigned long long>(params.seed), kRounds,
-               kIntervalDays, kThreads, kChurnRoasPerRound);
-  std::fprintf(f, "  \"rounds\": [\n");
-  write_samples(f, "    ", base.samples);
-  std::fprintf(f, "  ],\n");
-  write_totals(f, "  ", base, /*trailing_comma=*/true);
-  std::fprintf(f, "  \"slurm\": {\n");
-  std::fprintf(f, "    \"slurm_fraction\": %.2f,\n", kSlurmFraction);
-  std::fprintf(f, "    \"rounds\": [\n");
-  write_samples(f, "      ", slurm.samples);
-  std::fprintf(f, "    ],\n");
-  write_totals(f, "    ", slurm, /*trailing_comma=*/false);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
+  std::fprintf(f, "  \"host\": %s,\n", rovista::bench::host_json().c_str());
+  write_seed(f, "  ", seed11);
+  if (seed42.has_value()) {
+    std::fprintf(f, ",\n  \"seed42\": {\n");
+    write_seed(f, "    ", *seed42);
+    std::fprintf(f, "\n  }");
+  }
+  std::fprintf(f, "\n}\n");
   std::fclose(f);
 }
 
 }  // namespace
 
 int main() {
-  const scenario::ScenarioParams params = fixture_params();
-
   rovista::bench::print_header(
       "bench_incremental_round — VRP-delta-driven recomputation",
       "incremental engine contract (DESIGN.md, \"Incremental longitudinal "
       "engine\")");
 
-  std::printf("probing the timeline for a %d-day quiet stretch ...\n",
-              kRounds * kIntervalDays);
-  const auto quiet =
-      find_quiet_window(params, kRounds * kIntervalDays);
-  if (!quiet.has_value()) {
-    std::fprintf(stderr, "FAIL: no quiet window in the scenario timeline\n");
+  const std::optional<SeedResult> seed11 = run_seed(11);
+  if (!seed11.has_value()) {
+    std::fprintf(stderr, "FAIL: no quiet window in the seed-11 timeline\n");
     return 1;
   }
-  std::printf("quiet window starts %s\n", quiet->to_string().c_str());
+  const std::optional<SeedResult> seed42 = run_seed(42);
+  if (!seed42.has_value()) {
+    std::printf("seed 42: no quiet window in the timeline, seed 11 only\n");
+  }
 
-  const ConfigResult base = run_config("base ", params, *quiet);
-
-  scenario::ScenarioParams slurm_params = params;
-  slurm_params.slurm_fraction = kSlurmFraction;
-  const ConfigResult slurm = run_config("slurm", slurm_params, *quiet);
-
-  write_json("BENCH_incremental.json", params, base, slurm);
+  write_json("BENCH_incremental.json", *seed11, seed42);
   std::printf("wrote BENCH_incremental.json\n");
 
   int rc = 0;
@@ -376,7 +412,11 @@ int main() {
       rc = 1;
     }
   };
-  gate("base", base);
-  gate("slurm", slurm);
+  gate("base", seed11->base);
+  gate("slurm", seed11->slurm);
+  if (seed42.has_value()) {
+    gate("seed42 base", seed42->base);
+    gate("seed42 slurm", seed42->slurm);
+  }
   return rc;
 }

@@ -6,7 +6,8 @@
 #      pool / logging tests — and a TSan-clean run of it,
 #   3. ASan+UBSan build (-DSANITIZE=address+undefined) of the
 #      incremental-engine surface — delta computation, the longitudinal
-#      index, the cache-reuse rounds, and the checkpoint codec's
+#      index, the cache-reuse rounds, the memoized-fingerprint oracle
+#      (FingerprintOracle), and the checkpoint codec's
 #      corruption/truncation battery (the loader must stay clean on
 #      attacker-grade input) — and a clean run of it,
 #   4. ASan/UBSan fault soak: the RTR wire-error and lifecycle suites
@@ -173,7 +174,7 @@ t 1800 cmake --build build-asan -j "$JOBS" \
   --target test_vrp_delta test_longitudinal_index test_incremental_round \
            test_checkpoint test_rvla test_rtr test_faults
 t 1800 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'VrpDelta|LongitudinalIndex|IncrementalRound|Wire|Checkpoint|ScoreCacheRestore|Rvla'
+  -R 'VrpDelta|LongitudinalIndex|IncrementalRound|FingerprintOracle|Wire|Checkpoint|ScoreCacheRestore|Rvla'
 
 stage "ASan/UBSan fault soak (RTR lifecycle + fault injection)"
 t 1800 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \

@@ -1,6 +1,7 @@
 #include "bgp/collector.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace rovista::bgp {
@@ -24,6 +25,21 @@ std::vector<net::Ipv4Prefix> CollectorSnapshot::prefixes() const {
   std::unordered_set<net::Ipv4Prefix> seen;
   for (const CollectorEntry& e : entries) {
     if (seen.insert(e.prefix).second) out.push_back(e.prefix);
+  }
+  return out;
+}
+
+std::vector<PrefixOrigins> CollectorSnapshot::origins_by_prefix() const {
+  std::vector<PrefixOrigins> out;
+  std::unordered_map<net::Ipv4Prefix, std::size_t> index;
+  for (const CollectorEntry& e : entries) {
+    const auto [it, inserted] = index.try_emplace(e.prefix, out.size());
+    if (inserted) out.push_back({e.prefix, {}});
+    std::vector<Asn>& origins = out[it->second].origins;
+    const Asn origin = e.origin();
+    if (std::find(origins.begin(), origins.end(), origin) == origins.end()) {
+      origins.push_back(origin);
+    }
   }
   return out;
 }
@@ -57,10 +73,9 @@ CollectorSnapshot Collector::snapshot(
 SnapshotRpkiStats classify_snapshot(const CollectorSnapshot& snapshot,
                                     const rpki::VrpSet& vrps) {
   SnapshotRpkiStats stats;
-  for (const net::Ipv4Prefix& prefix : snapshot.prefixes()) {
+  for (const auto& [prefix, origins] : snapshot.origins_by_prefix()) {
     ++stats.total_prefixes;
     if (vrps.is_covered(prefix)) ++stats.covered_prefixes;
-    const std::vector<Asn> origins = snapshot.origins_of(prefix);
     bool any_invalid = false;
     bool all_invalid = !origins.empty();
     for (Asn origin : origins) {

@@ -26,15 +26,29 @@ struct CollectorEntry {
   Asn origin() const noexcept { return as_path.empty() ? 0 : as_path.back(); }
 };
 
+/// One observed prefix and the distinct origins seen announcing it.
+struct PrefixOrigins {
+  net::Ipv4Prefix prefix;
+  std::vector<Asn> origins;
+};
+
 /// A snapshot of everything a collector sees for a set of prefixes.
+///
+/// The queries scan `entries`; nothing is indexed. Code that needs the
+/// origins of every prefix calls origins_by_prefix(), one pass, rather
+/// than origins_of() per prefix, which is quadratic in the table.
 struct CollectorSnapshot {
   std::vector<CollectorEntry> entries;
 
-  /// Distinct origins observed for `prefix`.
+  /// Distinct origins observed for `prefix`, in first-seen order.
   std::vector<Asn> origins_of(const net::Ipv4Prefix& prefix) const;
 
-  /// All distinct prefixes observed.
+  /// All distinct prefixes observed, in first-seen order.
   std::vector<net::Ipv4Prefix> prefixes() const;
+
+  /// Each distinct prefix with its origins, in one walk of `entries`:
+  /// element i is {prefixes()[i], origins_of(prefixes()[i])}.
+  std::vector<PrefixOrigins> origins_by_prefix() const;
 };
 
 class Collector {

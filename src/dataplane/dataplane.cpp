@@ -1,7 +1,6 @@
 #include "dataplane/dataplane.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace rovista::dataplane {
 
@@ -89,13 +88,29 @@ bool DataPlane::source_is_invalid_prefix(net::Ipv4Address addr) const {
 PathResult DataPlane::compute_path(Asn from_as, net::Ipv4Address dst) {
   PathResult result;
   result.hops.push_back(from_as);
-  std::unordered_set<Asn> visited{from_as};
+
+  // What homes the destination, looked up once: walking the path
+  // converges routes but never changes announcements or hosts. This is
+  // address_in_as(dst, ·) unrolled.
+  const std::vector<net::Ipv4Prefix> candidates =
+      routing_.candidate_prefixes(dst);
+  const Asn host_home = as_of(dst);
+  const bool host_exists = host(dst) != nullptr;
+  const std::vector<Asn> prefix_homes =
+      host_home == 0 && !candidates.empty()
+          ? routing_.origins_of(candidates.front())
+          : std::vector<Asn>{};
+  const auto homes_dst = [&](Asn asn) {
+    return host_home != 0 ? host_home == asn
+                          : std::find(prefix_homes.begin(), prefix_homes.end(),
+                                      asn) != prefix_homes.end();
+  };
 
   Asn cur = from_as;
   for (int guard = 0; guard < 64; ++guard) {
     // Delivered once we are in the AS that homes the destination.
-    if (address_in_as(dst, cur)) {
-      if (host(dst) != nullptr && as_of(dst) == cur) {
+    if (homes_dst(cur)) {
+      if (host_exists && host_home == cur) {
         result.delivered = true;
         return result;
       }
@@ -109,7 +124,7 @@ PathResult DataPlane::compute_path(Asn from_as, net::Ipv4Address dst) {
     Asn next = 0;
     const auto& cur_policy = routing_.policy(cur);
     bool blackholed = false;
-    for (const net::Ipv4Prefix& prefix : routing_.candidate_prefixes(dst)) {
+    for (const net::Ipv4Prefix& prefix : candidates) {
       const bgp::RouteEntry* entry = routing_.route_at(cur, prefix);
       if (entry == nullptr) {
         // ROV++ (v1): if this hop *filtered* the more-specific as
@@ -155,7 +170,9 @@ PathResult DataPlane::compute_path(Asn from_as, net::Ipv4Address dst) {
       result.reason = DropReason::kNoRoute;
       return result;
     }
-    if (!visited.insert(next).second) {
+    // The hops so far are exactly the ASes visited.
+    if (std::find(result.hops.begin(), result.hops.end(), next) !=
+        result.hops.end()) {
       result.reason = DropReason::kLoop;
       return result;
     }

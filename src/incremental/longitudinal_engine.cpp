@@ -323,6 +323,8 @@ bool IncrementalLongitudinalRunner::restore(
               "checkpoint: score-cache shape mismatch — cache dropped, "
               "next round recomputes in full");
   }
+  // The memo is not checkpointed: the next round re-hashes every pair.
+  memo_ = FingerprintMemo();
   rounds_since_checkpoint_ = 0;
   // Any open archive may describe rounds the checkpoint does not know
   // about (or vice versa); the next round's first maybe_archive()
@@ -477,21 +479,37 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   }
 
   // 3. Fingerprint every pair on the tracking world and find dirty rows.
+  // The memo computes each distinct word stream once; a pair whose
+  // streams all match last round's keeps the fingerprint its cache
+  // entry holds, and only the others are re-hashed.
   scenario::Scenario& tracking = world();
-  const topology::Asn client_as = tracking.client_as_a();
-  const net::Ipv4Address client_addr = tracking.client_addr_a();
   dataplane::DataPlane& plane = tracking.plane();
+  std::vector<dataplane::PairEndpoints> pairs;
+  pairs.reserve(v_count * t_count);
+  for (const scan::Vvp& vvp : vvps_) {
+    for (const scan::Tnode& tnode : tnodes_) {
+      pairs.push_back({tracking.client_as_a(), tracking.client_addr_a(),
+                       vvp.asn, vvp.address, plane.as_of(tnode.address),
+                       tnode.address});
+    }
+  }
+  FingerprintMemo memo(plane, pairs, memo_);
 
-  std::vector<std::uint64_t> fingerprints(v_count * t_count, 0);
-  for (std::size_t v = 0; v < v_count; ++v) {
-    for (std::size_t t = 0; t < t_count; ++t) {
-      fingerprints[v * t_count + t] = dataplane::pair_fingerprint(
-          plane, client_as, client_addr, vvps_[v].asn, vvps_[v].address,
-          plane.as_of(tnodes_[t].address), tnodes_[t].address);
+  const bool cache_usable = cache_.matches(vvps_, tnodes_);
+  std::vector<std::uint64_t> fingerprints(pairs.size(), 0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const CacheEntry* entry =
+        cache_usable && memo.unchanged(i)
+            ? cache_.lookup(i / t_count, i % t_count)
+            : nullptr;
+    if (entry != nullptr) {
+      fingerprints[i] = entry->fingerprint;
+    } else {
+      fingerprints[i] = memo.fingerprint(i);
+      ++report.rehashed_pairs;
     }
   }
 
-  const bool cache_usable = cache_.matches(vvps_, tnodes_);
   if (!cache_usable) {
     cache_.reset(vvps_, tnodes_);
     report.matrix_reset = true;
@@ -538,6 +556,9 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
       }
     }
   }
+  // Every cache entry now holds this round's fingerprint, the one the
+  // memo's streams hash to: commit the two together.
+  memo_ = std::move(memo);
 
   round.inconclusive = count_inconclusive(round.observations);
   round.scores =

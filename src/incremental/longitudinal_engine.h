@@ -16,7 +16,13 @@
 //      (dataplane/fingerprint.h) and re-runs — through the parallel
 //      engine's canonical slots (ParallelRoundRunner::run_rows) — only
 //      the vVP rows containing some pair whose fingerprint changed,
-//      merging cached observations for the rest (ScoreCache),
+//      merging cached observations for the rest (ScoreCache). The
+//      fingerprints come from a FingerprintMemo: each distinct journey
+//      and address stream is computed once per round and compared word
+//      for word with last round's; a pair whose streams all match keeps
+//      the fingerprint its cache entry holds, every other pair is
+//      re-hashed from the memoized words. The memo is committed with
+//      the cache stores and dropped by restore(),
 //   4. aggregates and records the scores into a LongitudinalStore.
 //
 // Contract: every round's MeasurementRound is bit-identical to a full
@@ -37,6 +43,7 @@
 #include "analytics/rvla_io.h"
 #include "core/longitudinal.h"
 #include "core/rovista.h"
+#include "incremental/fingerprint_memo.h"
 #include "incremental/score_cache.h"
 #include "incremental/vrp_delta.h"
 #include "persist/checkpoint.h"
@@ -94,6 +101,8 @@ struct RoundReport {
   std::size_t total_pairs = 0;
   std::size_t executed_pairs = 0;
   std::size_t reused_pairs = 0;
+  std::size_t rehashed_pairs = 0;    // fingerprints re-hashed; the rest
+                                     // were unchanged and kept the cache's
   core::RoundHealth health;          // distribution-chain health (all
                                      // zeros in fault-free worlds)
   core::MeasurementRound round;      // bit-identical to a full recompute
@@ -195,6 +204,10 @@ class IncrementalLongitudinalRunner {
   // restore() swaps in a replayed world wholesale.
   std::unique_ptr<snapshot::EpochPublisher> publisher_;
   ScoreCache cache_;
+  // Word streams of the last incremental round's fingerprints, in step
+  // with cache_: every entry holds the fingerprint these streams hash
+  // to. Not checkpointed; restore() empties it.
+  FingerprintMemo memo_;
   core::LongitudinalStore store_;
   std::vector<scan::Vvp> vvps_;
   std::vector<scan::Tnode> tnodes_;

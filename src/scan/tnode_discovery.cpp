@@ -7,8 +7,7 @@ namespace rovista::scan {
 std::vector<net::Ipv4Prefix> select_test_prefixes(
     const bgp::CollectorSnapshot& snapshot, const rpki::VrpSet& vrps) {
   std::vector<net::Ipv4Prefix> out;
-  for (const net::Ipv4Prefix& prefix : snapshot.prefixes()) {
-    const std::vector<topology::Asn> origins = snapshot.origins_of(prefix);
+  for (const auto& [prefix, origins] : snapshot.origins_by_prefix()) {
     if (origins.empty()) continue;
     const bool all_invalid =
         std::all_of(origins.begin(), origins.end(), [&](topology::Asn o) {

@@ -469,6 +469,43 @@ TEST(Collector, ClassifySnapshotCountsInvalids) {
   EXPECT_EQ(stats.exclusively_invalid, 1u);   // only 10.3/16
 }
 
+TEST(Collector, OriginsByPrefixMatchesPerPrefixScan) {
+  // Interleaved prefixes, an origin seen from several peers, and a
+  // pathless entry (origin 0): the one-pass grouping must list the same
+  // prefixes, and the same origins per prefix, in the same first-seen
+  // order as prefixes() + origins_of().
+  const auto entry = [](const char* prefix, std::vector<Asn> path) {
+    CollectorEntry e;
+    e.prefix = pfx(prefix);
+    e.peer = path.empty() ? 0 : path.front();
+    e.as_path = std::move(path);
+    return e;
+  };
+  CollectorSnapshot snap;
+  snap.entries = {entry("10.1.0.0/16", {1, 7}),
+                  entry("10.2.0.0/16", {2, 8}),
+                  entry("10.1.0.0/16", {3, 9}),
+                  entry("10.3.0.0/24", {1, 4, 6}),
+                  entry("10.1.0.0/16", {2, 5, 7}),
+                  entry("10.2.0.0/16", {4, 8}),
+                  entry("10.1.0.0/16", {4, 6}),
+                  entry("10.3.0.0/24", {}),
+                  entry("10.2.0.0/16", {5, 9}),
+                  entry("10.1.0.0/16", {5, 9})};
+
+  const std::vector<PrefixOrigins> grouped = snap.origins_by_prefix();
+  const std::vector<Ipv4Prefix> prefixes = snap.prefixes();
+  ASSERT_EQ(grouped.size(), prefixes.size());
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    EXPECT_EQ(grouped[i].prefix, prefixes[i]) << i;
+    EXPECT_EQ(grouped[i].origins, snap.origins_of(prefixes[i])) << i;
+  }
+  ASSERT_EQ(grouped.size(), 3u);
+  EXPECT_EQ(grouped[0].origins, (std::vector<Asn>{7, 9, 6}));
+  EXPECT_EQ(grouped[1].origins, (std::vector<Asn>{8, 9}));
+  EXPECT_EQ(grouped[2].origins, (std::vector<Asn>{6, 0}));
+}
+
 // ---------- valley-free property over random topologies ----------
 
 class ValleyFree : public ::testing::TestWithParam<std::uint64_t> {};

@@ -3,7 +3,8 @@
 // scores, counters — is bit-identical to a from-scratch full recompute
 // at that date, for any thread count, and the published CSV datasets
 // match byte for byte. Also pins that the machinery actually engages:
-// a repeated date reuses everything.
+// a repeated date reuses everything, and memoized pair fingerprints
+// equal a fresh recompute.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "core/publish.h"
+#include "dataplane/fingerprint.h"
 #include "incremental/longitudinal_engine.h"
 #include "persist/checkpoint.h"
 #include "persist/wire.h"
@@ -447,6 +450,89 @@ TEST(DiscoveryOracle, EpochReaderMatchesFreshWorld) {
     }
     EXPECT_GT(reused, 0u) << name << ": no round reused discovery";
   }
+}
+
+// ---------- Fingerprint oracle ----------
+//
+// run_round fingerprints pairs through a per-round memo of word streams
+// and keeps last round's fingerprint for every pair whose streams are
+// all unchanged. After each round, every cache entry must still hold
+// the fingerprint dataplane::pair_fingerprint computes afresh on the
+// tracking world: in plain, SLURM-bearing and fault-injected worlds, on
+// repeated, consecutive and distant dates, and across a restore, which
+// drops the memo so that the next round re-hashes every pair. On +247
+// the faulted world's fault views change with no event and no VRP
+// delta: its vVP/tNode lists stay, and only the pairs whose journeys
+// changed may be re-hashed — the round that catches a memo keeping a
+// stale fingerprint.
+
+void expect_cache_holds_fingerprints(
+    incremental::IncrementalLongitudinalRunner& runner,
+    const std::string& label) {
+  const persist::CheckpointState state = runner.checkpoint_state();
+  scenario::Scenario& world = runner.world();
+  dataplane::DataPlane& plane = world.plane();
+  const std::size_t t_count = runner.tnodes().size();
+  ASSERT_EQ(state.cache_entries.size(), runner.vvps().size() * t_count)
+      << label;
+  for (std::size_t v = 0; v < runner.vvps().size(); ++v) {
+    const scan::Vvp& vvp = runner.vvps()[v];
+    for (std::size_t t = 0; t < t_count; ++t) {
+      const scan::Tnode& tnode = runner.tnodes()[t];
+      const auto& entry = state.cache_entries[v * t_count + t];
+      ASSERT_TRUE(entry.has_value()) << label << " pair " << v << "," << t;
+      const std::uint64_t want = dataplane::pair_fingerprint(
+          plane, {world.client_as_a(), world.client_addr_a(), vvp.asn,
+                  vvp.address, plane.as_of(tnode.address), tnode.address});
+      ASSERT_EQ(entry->fingerprint, want)
+          << label << " pair " << v << "," << t;
+    }
+  }
+}
+
+TEST(FingerprintOracle, MemoMatchesRecompute) {
+  incremental::IncrementalConfig faulted =
+      engine_config(/*incremental=*/true, /*num_threads=*/1);
+  faulted.params.faults.rp_failure_rate = 0.15;
+  faulted.params.faults.rp_divergence_fraction = 0.2;
+  faulted.params.faults.rtr_drop_rate = 0.15;
+  const std::pair<const char*, incremental::IncrementalConfig> fixtures[] = {
+      {"plain", engine_config(/*incremental=*/true, /*num_threads=*/1)},
+      {"slurm", slurm_engine_config(/*incremental=*/true, /*num_threads=*/1)},
+      {"faulted", faulted}};
+  constexpr int kOffsets[] = {150, 150, 151, 152, 171, 172, 215, 246, 247};
+  constexpr std::size_t kRepeated = 1;  // +150 again
+  constexpr std::size_t kResumeAt = 4;  // restore, then run +171
+  std::size_t mixed_rounds = 0;  // re-hashed some pairs, kept the others
+  for (const auto& [name, config] : fixtures) {
+    auto runner =
+        std::make_unique<incremental::IncrementalLongitudinalRunner>(config);
+    bool partial = false;
+    for (std::size_t i = 0; i < std::size(kOffsets); ++i) {
+      if (i == kResumeAt) {
+        auto resumed =
+            std::make_unique<incremental::IncrementalLongitudinalRunner>(
+                config);
+        ASSERT_TRUE(resumed->restore(runner->checkpoint_state())) << name;
+        runner = std::move(resumed);
+      }
+      const util::Date date = config.params.start + kOffsets[i];
+      const incremental::RoundReport report = runner->run_round(date);
+      const std::string label = std::string(name) + " " + date.to_string();
+      ASSERT_GT(report.total_pairs, 0u) << label;
+      expect_cache_holds_fingerprints(*runner, label);
+      if (i == 0 || i == kResumeAt) {
+        EXPECT_EQ(report.rehashed_pairs, report.total_pairs) << label;
+      } else if (i == kRepeated) {
+        EXPECT_EQ(report.rehashed_pairs, 0u) << label;
+      } else if (report.rehashed_pairs < report.total_pairs) {
+        partial = true;
+        if (report.rehashed_pairs > 0) ++mixed_rounds;
+      }
+    }
+    EXPECT_TRUE(partial) << name << ": no round kept any fingerprint";
+  }
+  EXPECT_GT(mixed_rounds, 0u) << "no round re-hashed only some pairs";
 }
 
 // ---------- Fault-knob zero golden regression ----------
