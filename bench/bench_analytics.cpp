@@ -2,10 +2,12 @@
 //
 // Builds a synthetic multi-year score series (R rounds x A ASes with
 // per-round churn), appends it frame by frame through the durable
-// RvlaWriter, and then answers every query in src/analytics/queries.h
-// twice: streaming off the archive, and walking an in-memory
-// LongitudinalStore fed the same rounds. Reports archive size per
-// frame, append latency, and per-query stream-vs-memory wall time.
+// RvlaWriter (frame fdatasync on the held data descriptor, then an
+// in-place head slot commit), and then answers every query in
+// src/analytics/queries.h twice: streaming off the archive, and walking
+// an in-memory LongitudinalStore fed the same rounds. Reports archive
+// size per frame, append latency, and per-query stream-vs-memory wall
+// time.
 //
 // Gates (exit non-zero):
 //   - every streaming answer must be value-identical to the store's
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "analytics/queries.h"
+#include "bench/common.h"
 #include "analytics/rvla_io.h"
 #include "core/longitudinal.h"
 #include "core/publish.h"
@@ -267,6 +270,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_json().c_str());
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f,
                "  \"series\": {\"rounds\": %d, \"ases\": %d},\n",

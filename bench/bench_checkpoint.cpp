@@ -2,11 +2,13 @@
 //
 // Runs a 4-round fixture-scale longitudinal series, measuring per round
 // the measurement work itself, the checkpoint state capture + RVCP
-// encode, and the durable (fsync + rotate) file write, plus the file
-// size. Then simulates a restart after round 3: loads the checkpoint,
-// restores a fresh runner (world replay + store rebuild), and compares
-// that against the cold alternative of re-running the first three
-// rounds from scratch.
+// encode, and the durable write (encode + in-place slot commit with
+// fdatasync on the held CheckpointWriter), plus the RVCP size. Then
+// simulates a restart after round 3: loads the newest slot of a copy of
+// the checkpoint directory through the slot-aware loader, restores a
+// fresh runner (world replay + store rebuild), and compares that
+// against the cold alternative of re-running the first three rounds
+// from scratch.
 //
 // Gates (exit non-zero):
 //   - the written file must load and restore,
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "incremental/longitudinal_engine.h"
 #include "persist/checkpoint.h"
 #include "persist/checkpoint_io.h"
@@ -91,7 +94,7 @@ struct RoundSample {
   util::Date date;
   double round_s = 0.0;    // measurement work
   double capture_s = 0.0;  // checkpoint_state() + RVCP encode
-  double write_s = 0.0;    // durable file install (fsync + rotate)
+  double write_s = 0.0;    // durable slot commit (encode + fdatasync)
   std::size_t bytes = 0;
 };
 
@@ -113,6 +116,12 @@ int main() {
 
   // Uninterrupted series, with per-round checkpoint cost accounting.
   incremental::IncrementalLongitudinalRunner uninterrupted(config);
+  auto writer = persist::CheckpointWriter::open(ckdir);
+  if (!writer.has_value()) {
+    std::fprintf(stderr, "FAIL: cannot open the checkpoint slots\n");
+    return 1;
+  }
+  const std::string frozen_dir = (fs::path(ckdir) / "after3").string();
   std::vector<RoundSample> samples;
   std::vector<incremental::RoundReport> reports;
   double cold_prefix_s = 0.0;  // measurement time of the resumed-over rounds
@@ -131,7 +140,7 @@ int main() {
     s.bytes = bytes.size();
 
     t = Clock::now();
-    if (!persist::write_checkpoint_file(ckdir, state)) {
+    if (!writer->write(state)) {
       std::fprintf(stderr, "FAIL: checkpoint write refused\n");
       return 1;
     }
@@ -139,25 +148,23 @@ int main() {
     samples.push_back(s);
 
     if (i + 1 == kResumeAfter) {
-      // Freeze the after-round-3 generation for the resume measurement:
-      // later writes rotate it away, so keep a copy aside.
-      fs::copy_file(persist::CheckpointPaths::in(ckdir).current,
-                    fs::path(ckdir) / "after3.bin",
-                    fs::copy_options::overwrite_existing);
+      // Freeze the after-round-3 slots for the resume measurement: the
+      // next write overwrites the older slot, so copy both aside.
+      fs::create_directories(frozen_dir);
+      for (const std::string& slot :
+           persist::CheckpointPaths::in(ckdir).slots()) {
+        fs::copy_file(slot, fs::path(frozen_dir) / fs::path(slot).filename(),
+                      fs::copy_options::overwrite_existing);
+      }
     }
   }
 
   // Simulated restart: load the after-round-3 checkpoint and restore.
-  const auto frozen =
-      persist::read_file_bytes((fs::path(ckdir) / "after3.bin").string());
-  if (!frozen.has_value()) {
-    std::fprintf(stderr, "FAIL: frozen checkpoint unreadable\n");
-    return 1;
-  }
   Clock::time_point t = Clock::now();
-  const auto state = persist::decode_checkpoint(*frozen);
-  if (!state.has_value()) {
-    std::fprintf(stderr, "FAIL: frozen checkpoint does not decode\n");
+  const auto state = persist::load_checkpoint_file(frozen_dir);
+  if (!state.has_value() ||
+      state->rounds.size() != static_cast<std::size_t>(kResumeAfter)) {
+    std::fprintf(stderr, "FAIL: frozen checkpoint does not load\n");
     return 1;
   }
   incremental::IncrementalLongitudinalRunner resumed(config);
@@ -192,6 +199,7 @@ int main() {
     return 1;
   }
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_json().c_str());
   std::fprintf(f,
                "  \"scenario\": {\"seed\": %llu, \"rounds\": %d, "
                "\"interval_days\": %d, \"resume_after\": %d},\n",

@@ -7,17 +7,20 @@
 #   3. ASan+UBSan build (-DSANITIZE=address+undefined) of the
 #      incremental-engine surface — delta computation, the longitudinal
 #      index, the cache-reuse rounds, the memoized-fingerprint oracle
-#      (FingerprintOracle), and the checkpoint codec's
+#      (FingerprintOracle), the checkpoint codec's
 #      corruption/truncation battery (the loader must stay clean on
-#      attacker-grade input) — and a clean run of it,
+#      attacker-grade input) and the two-slot commit's crash-window
+#      battery (SlotFile) — and a clean run of it,
 #   4. ASan/UBSan fault soak: the RTR wire-error and lifecycle suites
 #      plus the fault-injection suites, including the 200-day
 #      high-fault-rate soak (FaultSoak) that drives relying-party runs,
 #      corrupt-PDU teardowns, and per-AS view installs hot,
-#   5. crash/resume end-to-end: a 6-round series killed after round 3
-#      (--die-after simulates SIGKILL: no destructors, no exit
-#      checkpoint), resumed from its checkpoint at a different thread
-#      count, must publish CSVs byte-identical to an uninterrupted run,
+#   5. crash/resume end-to-end: a 6-round series with --archive killed
+#      after round 3 (--die-after simulates SIGKILL: no destructors, no
+#      exit checkpoint), its newest checkpoint slot then torn in half,
+#      resumed from the older slot at a different thread count, must
+#      publish CSVs byte-identical to an uninterrupted run, and so must
+#      `analyze --publish` of the resumed archive,
 #   6. the same crash/resume plus an incremental-vs-full byte-diff on a
 #      SLURM-policy series (--slurm-fraction): delta installs must run
 #      through the per-view dirty-set path of apply_vrp_delta, and the
@@ -50,8 +53,9 @@
 #      plus bench_analytics --smoke under a wall-clock ceiling with its
 #      streaming-vs-store identity gates green ("ok": true),
 #  13. CLI refusals: `loadgen --reach-fraction` above 0 without
-#      --reach-dst, any flag a subcommand does not accept, and a
-#      malformed number exit 2 with a one-line error (stage 1b),
+#      --reach-dst, any flag a subcommand does not accept, a malformed
+#      number, and a --checkpoint-every outside [1, 2^31-1] exit 2 with
+#      a one-line error (stage 1b),
 #  14. steady-state daily series: 300 daily rounds on the small world
 #      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
 #      and its first 60 rounds' published CSVs byte-identical to the
@@ -115,7 +119,7 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers)"
+stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, out-of-range --checkpoint-every)"
 # Each is refused before any world is built or connection attempted.
 refuse() {
   local status=0
@@ -134,6 +138,14 @@ refuse measure --engine replica
 refuse longitudinal --rounds 1 --engine snapshot
 refuse measure --threads x
 refuse longitudinal --rounds 2 --interval-days x
+# 0, or a value the engine's int cannot hold, would write no periodic
+# checkpoint at all.
+for every in 0 3000000000; do
+  refuse longitudinal --rounds 2 --checkpoint-dir "$DOCS_TMP/ck" \
+    --checkpoint-every "$every"
+  refuse serve --rounds 2 --checkpoint-dir "$DOCS_TMP/ck" \
+    --checkpoint-every "$every"
+done
 
 stage "bench_scale smoke (scaling contract under a wall-clock ceiling)"
 # The full shape takes ~30 s; the smoke shape (~5k ASes) must stay well
@@ -172,9 +184,9 @@ stage "ASan/UBSan incremental + checkpoint surface"
 t 900 cmake -B build-asan -S . -DSANITIZE=address+undefined
 t 1800 cmake --build build-asan -j "$JOBS" \
   --target test_vrp_delta test_longitudinal_index test_incremental_round \
-           test_checkpoint test_rvla test_rtr test_faults
+           test_checkpoint test_slot_file test_rvla test_rtr test_faults
 t 1800 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'VrpDelta|LongitudinalIndex|IncrementalRound|FingerprintOracle|Wire|Checkpoint|ScoreCacheRestore|Rvla'
+  -R 'VrpDelta|LongitudinalIndex|IncrementalRound|FingerprintOracle|Wire|Checkpoint|ScoreCacheRestore|Rvla|SlotFile'
 
 stage "ASan/UBSan fault soak (RTR lifecycle + fault injection)"
 t 1800 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
@@ -281,20 +293,36 @@ stage "crash/resume byte-diff"
 # and this kill is supposed to happen.
 status=0
 t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small --checkpoint-dir "$CK_TMP/ck" --die-after 3 >/dev/null \
-  || status=$?
+  --scale small --checkpoint-dir "$CK_TMP/ck" --archive "$CK_TMP/ck-archive" \
+  --die-after 3 >/dev/null || status=$?
 if [ "$status" -ne 137 ]; then
   echo "expected the --die-after run to die with 137, got $status" >&2
   exit 1
 fi
-t 300 "$CLI" checkpoint inspect --dir "$CK_TMP/ck" >/dev/null
+t 300 "$CLI" checkpoint inspect --dir "$CK_TMP/ck" > "$CK_TMP/inspect.txt"
+# Tear the newest checkpoint slot, as a crash mid-commit would: the
+# resume must fall back to the older slot and still converge on the
+# uninterrupted bytes, archive included.
+newest="$(awk '/^resume takes slot/ {print $5}' "$CK_TMP/inspect.txt")"
+if [ ! -s "$newest" ]; then
+  echo "checkpoint inspect named no newest slot" >&2
+  cat "$CK_TMP/inspect.txt" >&2
+  exit 1
+fi
+truncate -s $(( $(stat -c %s "$newest") / 2 )) "$newest"
 t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small --checkpoint-dir "$CK_TMP/ck" --resume --threads 4 \
-  --publish "$CK_TMP/resumed" >/dev/null
+  --scale small --checkpoint-dir "$CK_TMP/ck" --archive "$CK_TMP/ck-archive" \
+  --resume --threads 4 --publish "$CK_TMP/resumed" >/dev/null
 t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
   --scale small --publish "$CK_TMP/uninterrupted" >/dev/null
 diff -r "$CK_TMP/resumed" "$CK_TMP/uninterrupted" >/dev/null || {
   echo "resumed series published different CSV bytes" >&2
+  exit 1
+}
+t 300 "$CLI" analyze --archive "$CK_TMP/ck-archive" \
+  --publish "$CK_TMP/resumed-analyze" >/dev/null
+diff -r "$CK_TMP/resumed-analyze" "$CK_TMP/uninterrupted" >/dev/null || {
+  echo "the resumed archive published different CSV bytes" >&2
   exit 1
 }
 

@@ -5,14 +5,7 @@
 #include <filesystem>
 #include <limits>
 
-#include "persist/checkpoint_io.h"
 #include "util/logging.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define ROVISTA_RVLA_POSIX 1
-#endif
 
 namespace rovista::analytics {
 
@@ -20,107 +13,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Same durability helpers as the checkpoint writer (persist keeps them
-// file-local): fsync the file data, then the directory entries, so a
-// rename that survived only in the page cache cannot resurrect an old
-// head after a crash.
-bool write_and_sync(const std::string& path,
-                    std::span<const std::uint8_t> bytes) {
-#ifdef ROVISTA_RVLA_POSIX
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  return (::close(fd) == 0) && synced;
-#else
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  f.flush();
-  return static_cast<bool>(f);
-#endif
-}
-
-void sync_directory(const std::string& directory) {
-#ifdef ROVISTA_RVLA_POSIX
-  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)directory;
-#endif
-}
-
-/// Append `bytes` to `path` at exactly `offset`, dropping any debris a
-/// crashed previous append left beyond it, and flush to stable storage.
-bool append_and_sync(const std::string& path, std::uint64_t offset,
-                     std::span<const std::uint8_t> bytes) {
-#ifdef ROVISTA_RVLA_POSIX
-  const int fd = ::open(path.c_str(), O_WRONLY, 0644);
-  if (fd < 0) return false;
-  bool ok = ::ftruncate(fd, static_cast<::off_t>(offset)) == 0;
-  std::size_t written = 0;
-  while (ok && written < bytes.size()) {
-    const ::ssize_t n =
-        ::pwrite(fd, bytes.data() + written, bytes.size() - written,
-                 static_cast<::off_t>(offset + written));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  ok = ok && ::fsync(fd) == 0;
-  return (::close(fd) == 0) && ok;
-#else
-  std::error_code ec;
-  fs::resize_file(path, offset, ec);
-  if (ec) return false;
-  std::ofstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  if (!f) return false;
-  f.seekp(static_cast<std::streamoff>(offset));
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  f.flush();
-  return static_cast<bool>(f);
-#endif
-}
-
 bool set_error(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
   return false;
-}
-
-/// Swap in a freshly-encoded head: tmp + fsync + rename + dir sync.
-bool install_head(const RvlaPaths& paths, const std::string& directory,
-                  const RvlaHead& head, std::string* error) {
-  if (!write_and_sync(paths.head_tmp, encode_head(head))) {
-    std::error_code ec;
-    fs::remove(paths.head_tmp, ec);
-    return set_error(error, "rvla: writing " + paths.head_tmp +
-                                " failed: " + std::strerror(errno));
-  }
-  std::error_code ec;
-  fs::rename(paths.head_tmp, paths.head, ec);
-  if (ec) {
-    return set_error(error, "rvla: installing " + paths.head +
-                                " failed: " + ec.message());
-  }
-  sync_directory(directory);
-  return true;
 }
 
 }  // namespace
@@ -129,15 +24,17 @@ RvlaPaths RvlaPaths::in(const std::string& directory) {
   RvlaPaths p;
   p.data = (fs::path(directory) / "archive.rvla").string();
   p.head = (fs::path(directory) / "archive.head").string();
-  p.head_tmp = (fs::path(directory) / "archive.head.tmp").string();
+  p.head1 = (fs::path(directory) / "archive.head.1").string();
   p.data_tmp = (fs::path(directory) / "archive.rvla.tmp").string();
   return p;
 }
 
-RvlaWriter::RvlaWriter(std::string directory, RvlaHead head)
+RvlaWriter::RvlaWriter(std::string directory, RvlaHead head,
+                       persist::DurableFile data, persist::SlotWriter heads)
     : directory_(std::move(directory)),
-      paths_(RvlaPaths::in(directory_)),
-      head_(head) {}
+      head_(head),
+      data_(std::move(data)),
+      heads_(std::move(heads)) {}
 
 std::optional<RvlaWriter> RvlaWriter::create(
     const std::string& directory, std::span<const RvlaFrame> frames,
@@ -151,36 +48,47 @@ std::optional<RvlaWriter> RvlaWriter::create(
   }
   const RvlaPaths paths = RvlaPaths::in(directory);
   const RvlaImage image = encode_archive(frames);
+  std::string why;
 
-  // Data first (via tmp so a half-written rewrite never shadows the
-  // old data under an old head), then the head that commits it.
-  if (!write_and_sync(paths.data_tmp, image.data)) {
-    set_error(error, "rvla: writing " + paths.data_tmp +
-                         " failed: " + std::strerror(errno));
-    fs::remove(paths.data_tmp, ec);
+  // Data first, via tmp, so a half-written rewrite never shadows the
+  // old data under an old head.
+  {
+    auto tmp = persist::DurableFile::open(paths.data_tmp, nullptr, &why);
+    if (!tmp.has_value() || !tmp->truncate(0) ||
+        !tmp->write_at(0, image.data) || !tmp->sync()) {
+      set_error(error, "rvla: writing " + paths.data_tmp + " failed: " +
+                           (tmp.has_value() ? std::strerror(errno) : why));
+      fs::remove(paths.data_tmp, ec);
+      return std::nullopt;
+    }
+  }
+  // Retire both head slots before the data rename: between the two
+  // steps the archive reads as absent, never as an old head over new
+  // bytes.
+  auto heads = persist::SlotWriter::open(
+      paths.heads(),
+      [](std::span<const std::uint8_t> bytes) {
+        return decode_head(bytes, nullptr).has_value();
+      },
+      &why);
+  if (!heads.has_value() || !heads->retire(&why)) {
+    set_error(error, "rvla: " + why);
     return std::nullopt;
   }
-  // Retire the old head before the data rename: between the two steps
-  // the archive reads as absent (not as an old head over new bytes).
-  fs::remove(paths.head, ec);
   fs::rename(paths.data_tmp, paths.data, ec);
   if (ec) {
     set_error(error, "rvla: installing " + paths.data +
                          " failed: " + ec.message());
     return std::nullopt;
   }
-  RvlaHead head;
-  head.frame_count = frames.size();
-  head.data_size = image.data.size();
-  if (!frames.empty()) {
-    std::uint64_t offset = kRvlaPreambleSize;
-    for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
-      offset += frame_size(frames[i].asns.size(), frames[i].has_health);
-    }
-    head.last_frame_offset = offset;
+  persist::sync_directory(directory);
+  auto data = persist::DurableFile::open(paths.data, nullptr, &why);
+  if (!data.has_value() || !heads->commit(image.head, &why)) {
+    set_error(error, "rvla: " + why);
+    return std::nullopt;
   }
-  if (!install_head(paths, directory, head, error)) return std::nullopt;
-  return RvlaWriter(directory, head);
+  return RvlaWriter(directory, *decode_head(image.head, nullptr),
+                    std::move(*data), std::move(*heads));
 }
 
 bool RvlaWriter::append(const RvlaFrame& frame, std::string* error) {
@@ -190,15 +98,20 @@ bool RvlaWriter::append(const RvlaFrame& frame, std::string* error) {
   const std::uint64_t prev =
       head_.frame_count == 0 ? 0 : head_.last_frame_offset;
   const std::vector<std::uint8_t> bytes = encode_frame(frame, prev);
-  if (!append_and_sync(paths_.data, head_.data_size, bytes)) {
-    return set_error(error, "rvla: appending to " + paths_.data +
+  // The frame is durable before any head names it.
+  if (!data_.truncate(head_.data_size) ||
+      !data_.write_at(head_.data_size, bytes) || !data_.sync()) {
+    return set_error(error, "rvla: appending to " + data_.path() +
                                 " failed: " + std::strerror(errno));
   }
   RvlaHead next = head_;
   next.last_frame_offset = head_.data_size;
   next.data_size = head_.data_size + bytes.size();
   next.frame_count = head_.frame_count + 1;
-  if (!install_head(paths_, directory_, next, error)) return false;
+  std::string why;
+  if (!heads_.commit(encode_head(next), &why)) {
+    return set_error(error, "rvla: " + why);
+  }
   head_ = next;
   return true;
 }
@@ -211,13 +124,18 @@ RvlaCursor::RvlaCursor(RvlaHead head, std::ifstream file)
 std::optional<RvlaCursor> RvlaCursor::open(const std::string& directory,
                                            std::string* error) {
   const RvlaPaths paths = RvlaPaths::in(directory);
-  const auto head_bytes = persist::read_file_bytes(paths.head);
-  if (!head_bytes.has_value()) {
-    set_error(error, "rvla: missing or unreadable " + paths.head);
+  std::optional<RvlaHead> head;
+  const auto choice = persist::load_newest_slot(
+      paths.heads(), "rvla",
+      [&head](std::span<const std::uint8_t> payload, std::string* why) {
+        head = decode_head(payload, why);
+        return head.has_value();
+      });
+  if (!choice.has_value()) {
+    set_error(error, "rvla: no valid head in " + paths.head + " or " +
+                         paths.head1);
     return std::nullopt;
   }
-  const auto head = decode_head(*head_bytes, error);
-  if (!head.has_value()) return std::nullopt;
 
   std::ifstream file(paths.data, std::ios::binary);
   if (!file) {

@@ -1,12 +1,15 @@
 // File-backed RVLA access: the durable appender and the streaming
 // cursor (docs/FORMATS.md §5).
 //
-// Appends follow the persist crash-safety recipe: frame bytes are
-// written and fsync'd into archive.rvla first, then the 36-byte commit
-// record is atomically swapped in (tmp + fsync + rename + directory
-// sync). A crash between the two steps leaves debris past the committed
-// length, which the next append truncates away — readers never see it
-// because they stop at the committed length.
+// The writer keeps archive.rvla open and appends each frame in place:
+// ftruncate to the committed length (dropping crash debris), pwrite the
+// frame, fdatasync. Only then does it commit the new 36-byte head into
+// the head slot pair archive.head / archive.head.1 (persist/slot_file.h:
+// an in-place overwrite of the slot not holding the newest head, then
+// fdatasync), so a head never names unflushed frames. A crash between
+// the two steps leaves debris past the committed length, which the next
+// append truncates away — readers never see it because they stop at the
+// committed length. A torn head commit falls back to the previous head.
 //
 // The cursor streams one frame at a time off disk, so walking an
 // N-round archive needs O(max frame) memory, not O(N): that is what
@@ -22,21 +25,24 @@
 #include <vector>
 
 #include "analytics/rvla.h"
+#include "persist/slot_file.h"
 
 namespace rovista::analytics {
 
 struct RvlaPaths {
   std::string data;      // archive.rvla
-  std::string head;      // archive.head
-  std::string head_tmp;  // archive.head.tmp (atomic head swap)
-  std::string data_tmp;  // archive.rvla.tmp (atomic full rewrite)
+  std::string head;      // head slot 0: archive.head
+  std::string head1;     // head slot 1: archive.head.1
+  std::string data_tmp;  // archive.rvla.tmp (create's full rewrite)
 
   static RvlaPaths in(const std::string& directory);
+  persist::SlotPair heads() const { return {head, head1}; }
 };
 
-/// Append-side handle. `create` installs a fresh archive holding
-/// `frames` (usually none); each `append` durably commits one frame in
-/// O(frame) work, independent of archive length.
+/// Append-side handle, move-only: it holds archive.rvla and both head
+/// slots open. `create` installs a fresh archive holding `frames`
+/// (usually none); each `append` durably commits one frame in O(frame)
+/// work, independent of archive length.
 class RvlaWriter {
  public:
   /// Create (or atomically replace) the archive in `directory`.
@@ -50,15 +56,18 @@ class RvlaWriter {
   const std::string& directory() const noexcept { return directory_; }
 
  private:
-  RvlaWriter(std::string directory, RvlaHead head);
+  RvlaWriter(std::string directory, RvlaHead head, persist::DurableFile data,
+             persist::SlotWriter heads);
 
   std::string directory_;
-  RvlaPaths paths_;
   RvlaHead head_;
+  persist::DurableFile data_;
+  persist::SlotWriter heads_;
 };
 
-/// Streaming reader: validates the commit record up front, then yields
-/// frames one at a time with per-frame CRC / chain / date checks.
+/// Streaming reader: takes the newest valid head slot up front (a raw
+/// 36-byte archive.head from older builds ranks below any slot), then
+/// yields frames one at a time with per-frame CRC / chain / date checks.
 /// Tolerates crash debris past the committed length (unlike the strict
 /// decode_archive codec), rejects everything else.
 class RvlaCursor {

@@ -5,7 +5,6 @@
 
 #include "dataplane/fingerprint.h"
 #include "incremental/dirty_prefix.h"
-#include "persist/checkpoint_io.h"
 #include "persist/wire.h"
 #include "snapshot/world_source.h"
 #include "util/logging.h"
@@ -346,11 +345,16 @@ bool IncrementalLongitudinalRunner::resume_from_checkpoint() {
 
 bool IncrementalLongitudinalRunner::write_checkpoint() {
   if (config_.checkpoint_dir.empty()) return false;
-  const bool ok =
-      persist::write_checkpoint_file(config_.checkpoint_dir,
-                                     checkpoint_state());
-  if (ok) rounds_since_checkpoint_ = 0;
-  return ok;
+  if (!checkpoint_writer_.has_value()) {
+    checkpoint_writer_ = persist::CheckpointWriter::open(config_.checkpoint_dir);
+    if (!checkpoint_writer_.has_value()) return false;
+  }
+  if (!checkpoint_writer_->write(checkpoint_state())) {
+    checkpoint_writer_.reset();
+    return false;
+  }
+  rounds_since_checkpoint_ = 0;
+  return true;
 }
 
 void IncrementalLongitudinalRunner::maybe_archive() {

@@ -47,6 +47,7 @@
 #include "incremental/score_cache.h"
 #include "incremental/vrp_delta.h"
 #include "persist/checkpoint.h"
+#include "persist/checkpoint_io.h"
 #include "scenario/scenario.h"
 #include "snapshot/epoch_publisher.h"
 
@@ -64,8 +65,11 @@ struct IncrementalConfig {
   /// Non-empty → run_round writes a crash-safe checkpoint (RVCP format,
   /// docs/FORMATS.md) under this directory every `checkpoint_every`
   /// completed rounds, and the destructor writes a final one if rounds
-  /// ran since the last write. resume_from_checkpoint() restores from
-  /// the same directory.
+  /// ran since the last write. Writes commit in place into the
+  /// directory's two slots through one CheckpointWriter the runner holds
+  /// for its life. resume_from_checkpoint() restores from the same
+  /// directory. `checkpoint_every` <= 0 writes no periodic checkpoint:
+  /// the caller calls write_checkpoint() itself.
   std::string checkpoint_dir;
   int checkpoint_every = 1;
   /// Embedder-chosen guard stored in the checkpoint and compared on
@@ -79,8 +83,9 @@ struct IncrementalConfig {
   /// append of a runner's life rewrites the archive from its recorded
   /// history — so cold starts begin a fresh archive and resumed runs
   /// truncate whatever rounds a crash left uncommitted — and each
-  /// subsequent round is an O(frame) append through the persist
-  /// tmp+fsync+rename head swap. `rovista analyze` and
+  /// subsequent round is an O(frame) append on the writer's held
+  /// descriptors: the frame is fdatasynced, then the head is committed
+  /// in place into its slot pair. `rovista analyze` and
   /// ScoreFeed::seed_from_archive consume the result.
   std::string archive_dir;
 };
@@ -160,7 +165,9 @@ class IncrementalLongitudinalRunner {
   /// restore() it. False (logged) → caller proceeds with a cold start.
   bool resume_from_checkpoint();
 
-  /// Write a checkpoint to config().checkpoint_dir now.
+  /// Write a checkpoint to config().checkpoint_dir now, through the
+  /// runner's held CheckpointWriter (opened by the first call, reopened
+  /// after a failed write).
   bool write_checkpoint();
 
   /// Rounds recorded so far (monotone; restored by resume).
@@ -222,6 +229,7 @@ class IncrementalLongitudinalRunner {
   // (store replay log) and tracking-world replay recipe in one.
   std::vector<persist::RoundRecord> history_;
   std::size_t rounds_since_checkpoint_ = 0;
+  std::optional<persist::CheckpointWriter> checkpoint_writer_;
   // RVLA appender, opened lazily by the first maybe_archive() so the
   // initial rewrite sees any restored history; restore() drops it to
   // force a fresh rewrite. nullopt also after a logged archive failure.

@@ -1,18 +1,8 @@
 #include "persist/checkpoint_io.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "util/logging.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define ROVISTA_PERSIST_POSIX 1
-#endif
 
 namespace rovista::persist {
 
@@ -24,141 +14,65 @@ CheckpointPaths CheckpointPaths::in(const std::string& directory) {
   CheckpointPaths p;
   p.current = (fs::path(directory) / "checkpoint.bin").string();
   p.previous = (fs::path(directory) / "checkpoint.bin.1").string();
-  p.temp = (fs::path(directory) / "checkpoint.tmp").string();
   return p;
 }
 
-namespace {
-
-// Write bytes to `path` and flush them to stable storage. Durability
-// (fsync of the file, and later of the directory) is what makes the
-// rename dance crash-safe; on platforms without POSIX fds we fall back
-// to a plain flushed stream.
-bool write_and_sync(const std::string& path,
-                    const std::vector<std::uint8_t>& bytes) {
-#ifdef ROVISTA_PERSIST_POSIX
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  return (::close(fd) == 0) && synced;
-#else
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  f.flush();
-  return static_cast<bool>(f);
-#endif
-}
-
-// Make the directory entry changes (renames, new files) durable too —
-// a rename that only lives in the directory's page cache can vanish in
-// a crash even though the file data was fsync'd.
-void sync_directory(const std::string& directory) {
-#ifdef ROVISTA_PERSIST_POSIX
-  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)directory;
-#endif
-}
-
-std::optional<CheckpointState> try_load(const std::string& path) {
-  const auto bytes = read_file_bytes(path);
-  if (!bytes.has_value()) return std::nullopt;  // absence is not an error
-  std::string error;
-  auto state = decode_checkpoint(*bytes, &error);
-  if (!state.has_value()) {
-    util::log(LogLevel::kWarn, "checkpoint: rejecting " + path + ": " + error);
-  }
-  return state;
-}
-
-}  // namespace
-
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  f.seekg(0, std::ios::end);
-  const std::streamoff size = f.tellg();
-  if (size < 0) return std::nullopt;
-  f.seekg(0, std::ios::beg);
-  bytes.resize(static_cast<std::size_t>(size));
-  f.read(reinterpret_cast<char*>(bytes.data()),
-         static_cast<std::streamsize>(bytes.size()));
-  if (!f) return std::nullopt;
-  return bytes;
-}
-
-bool write_checkpoint_file(const std::string& directory,
-                           const CheckpointState& state) {
+std::optional<CheckpointWriter> CheckpointWriter::open(
+    const std::string& directory) {
   std::error_code ec;
   fs::create_directories(directory, ec);
   if (ec) {
     util::log(LogLevel::kError, "checkpoint: cannot create directory " +
                                     directory + ": " + ec.message());
-    return false;
+    return std::nullopt;
   }
-  const CheckpointPaths paths = CheckpointPaths::in(directory);
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(state);
+  std::string error;
+  auto slots = SlotWriter::open(
+      CheckpointPaths::in(directory).slots(),
+      [](std::span<const std::uint8_t> bytes) {
+        return decode_checkpoint(bytes).has_value();
+      },
+      &error);
+  if (!slots.has_value()) {
+    util::log(LogLevel::kError, "checkpoint: " + error);
+    return std::nullopt;
+  }
+  return CheckpointWriter(std::move(*slots));
+}
 
-  if (!write_and_sync(paths.temp, bytes)) {
-    util::log(LogLevel::kError,
-              "checkpoint: write to " + paths.temp + " failed: " +
-                  std::strerror(errno));
-    fs::remove(paths.temp, ec);
+bool CheckpointWriter::write(const CheckpointState& state) {
+  std::string error;
+  if (!slots_.commit(encode_checkpoint(state), &error)) {
+    util::log(LogLevel::kError, "checkpoint: " + error);
     return false;
   }
-
-  // Rotate the old current out of the way (first write: nothing to
-  // rotate), then atomically install the new image. Between the two
-  // renames only checkpoint.bin.1 exists — the loader's fallback.
-  if (fs::exists(paths.current, ec)) {
-    fs::rename(paths.current, paths.previous, ec);
-    if (ec) {
-      util::log(LogLevel::kError, "checkpoint: rotating " + paths.current +
-                                      " failed: " + ec.message());
-      fs::remove(paths.temp, ec);
-      return false;
-    }
-  }
-  fs::rename(paths.temp, paths.current, ec);
-  if (ec) {
-    util::log(LogLevel::kError, "checkpoint: installing " + paths.current +
-                                    " failed: " + ec.message());
-    return false;
-  }
-  sync_directory(directory);
   return true;
+}
+
+bool write_checkpoint_file(const std::string& directory,
+                           const CheckpointState& state) {
+  auto writer = CheckpointWriter::open(directory);
+  return writer.has_value() && writer->write(state);
+}
+
+std::optional<std::pair<CheckpointState, SlotChoice>> load_checkpoint_slot(
+    const std::string& directory) {
+  std::optional<CheckpointState> state;
+  const auto choice = load_newest_slot(
+      CheckpointPaths::in(directory).slots(), "checkpoint",
+      [&state](std::span<const std::uint8_t> payload, std::string* why) {
+        state = decode_checkpoint(payload, why);
+        return state.has_value();
+      });
+  if (!choice.has_value()) return std::nullopt;
+  return std::pair{std::move(*state), *choice};
 }
 
 std::optional<CheckpointState> load_checkpoint_file(
     const std::string& directory) {
-  const CheckpointPaths paths = CheckpointPaths::in(directory);
-  if (auto state = try_load(paths.current); state.has_value()) return state;
-  if (auto state = try_load(paths.previous); state.has_value()) {
-    util::log(LogLevel::kWarn,
-              "checkpoint: current image unusable, resuming from rotated "
-              "predecessor " +
-                  paths.previous);
-    return state;
-  }
-  return std::nullopt;
+  auto loaded = load_checkpoint_slot(directory);
+  if (!loaded.has_value()) return std::nullopt;
+  return std::move(loaded->first);
 }
 
 }  // namespace rovista::persist

@@ -1,54 +1,66 @@
 // Crash-safe checkpoint files.
 //
-// A checkpoint directory holds at most three files:
-//   checkpoint.bin     the current checkpoint
-//   checkpoint.bin.1   the rotated predecessor (one generation kept)
-//   checkpoint.tmp     in-flight write (never read; deleted on success)
-//
-// Writes never put the current checkpoint at risk: the new image is
-// serialized to checkpoint.tmp, fsync'd, the old current is renamed to
-// the predecessor slot, the temp is atomically renamed into place, and
-// the directory entry is fsync'd. A crash at any point leaves either the
-// old current or (between the two renames) the predecessor readable.
-// Loads therefore try checkpoint.bin first and fall back to
-// checkpoint.bin.1, logging every rejection; only when both fail does
-// the caller cold-start.
+// A checkpoint directory holds one two-slot record (persist/slot_file.h,
+// docs/FORMATS.md §1.9):
+//   checkpoint.bin     slot 0
+//   checkpoint.bin.1   slot 1
+// Each slot holds one CRC-framed image of an RVCP checkpoint. A write
+// overwrites, in place, the slot that does not hold the newest valid
+// checkpoint and fdatasyncs it; the newest one is never at risk. Loads
+// take the valid slot with the larger sequence number and fall back to
+// the other, logging every rejection; only when both fail does the
+// caller cold-start. Unslotted RVCP files left by older builds (a bare
+// checkpoint.bin / checkpoint.bin.1) still load, below any slot image.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "persist/checkpoint.h"
+#include "persist/slot_file.h"
 
 namespace rovista::persist {
 
 /// The file layout inside a checkpoint directory.
 struct CheckpointPaths {
-  std::string current;   // <dir>/checkpoint.bin
-  std::string previous;  // <dir>/checkpoint.bin.1
-  std::string temp;      // <dir>/checkpoint.tmp
+  std::string current;   // slot 0: <dir>/checkpoint.bin
+  std::string previous;  // slot 1: <dir>/checkpoint.bin.1
 
   static CheckpointPaths in(const std::string& directory);
+  SlotPair slots() const { return {current, previous}; }
 };
 
-/// Serialize `state` and durably install it as <dir>/checkpoint.bin
-/// (creating the directory if needed, rotating the old current to
-/// checkpoint.bin.1). Returns false — with the failure logged — if any
-/// step fails; the previously current checkpoint is left intact.
+/// Commits checkpoints into one directory's slots on file descriptors
+/// held for the writer's life: one pwrite + fdatasync per checkpoint.
+class CheckpointWriter {
+ public:
+  /// Create the directory if needed and open its slots. Failures are
+  /// logged (nullopt).
+  static std::optional<CheckpointWriter> open(const std::string& directory);
+
+  /// Durably commit `state`. False (logged) leaves the newest earlier
+  /// checkpoint intact.
+  bool write(const CheckpointState& state);
+
+ private:
+  explicit CheckpointWriter(SlotWriter slots) : slots_(std::move(slots)) {}
+
+  SlotWriter slots_;
+};
+
+/// One-shot CheckpointWriter::open + write.
 bool write_checkpoint_file(const std::string& directory,
                            const CheckpointState& state);
 
-/// Load the best available checkpoint from `directory`: the current
-/// file, else the rotated predecessor. Every rejected candidate is
-/// logged with the decoder's diagnostic. nullopt when nothing usable
-/// exists (the caller's cue for a cold start).
+/// Load the newest usable checkpoint from `directory`. Every rejected
+/// slot is logged with the decoder's diagnostic. nullopt when nothing
+/// usable exists (the caller's cue for a cold start).
 std::optional<CheckpointState> load_checkpoint_file(
     const std::string& directory);
 
-/// Whole-file read helper (also used by `rovista checkpoint inspect`).
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::string& path);
+/// load_checkpoint_file, also naming the slot the state came from.
+std::optional<std::pair<CheckpointState, SlotChoice>> load_checkpoint_slot(
+    const std::string& directory);
 
 }  // namespace rovista::persist

@@ -17,7 +17,10 @@ namespace rovista::persist {
 
 /// IEEE 802.3 CRC-32 (polynomial 0xEDB88320, init/final-xor 0xFFFFFFFF)
 /// — the per-section integrity check of the checkpoint container.
-std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
+/// Passing a previous result as `crc` continues it: crc32(b, crc32(a))
+/// == crc32(a ‖ b).
+std::uint32_t crc32(std::span<const std::uint8_t> data,
+                    std::uint32_t crc = 0) noexcept;
 
 /// 64-bit FNV-1a — used for configuration digests (persist stores the
 /// digest; the engine decides what feeds it).

@@ -1,14 +1,17 @@
 // Checkpoint subsystem tests (src/persist + engine resume):
 //
-//  - wire primitives: round trips, known CRC32/FNV vectors, reader
-//    bounds latching,
+//  - wire primitives: round trips, known CRC32/FNV vectors, the
+//    slicing-by-8 CRC against a bytewise reference, reader bounds
+//    latching,
 //  - container: encode→decode→re-encode is byte-identical (canonical
 //    encoding), every strict prefix is rejected (truncation at every
 //    byte, which covers every section boundary), every single-byte
 //    corruption is rejected (header, table and payload CRCs leave no
 //    unprotected byte), per-section CRC diagnostics name the section,
-//  - crash-safe files: write/rotate/load, fallback to the rotated
-//    predecessor, corrupted-everything → logged nullopt,
+//  - crash-safe files: write/load through the two checkpoint slots,
+//    fallback to the older slot when the newest is corrupt,
+//    corrupted-everything → logged nullopt (the crash-window battery of
+//    the slot primitive itself lives in tests/test_slot_file.cpp),
 //  - engine resume: a runner restored from the round-k checkpoint
 //    finishes the series bit-identically to an uninterrupted run at
 //    1/2/4/8 threads (scores, observations, and published CSV bytes),
@@ -168,6 +171,49 @@ TEST(Wire, Crc32KnownVector) {
   EXPECT_EQ(persist::crc32(std::span(
                 reinterpret_cast<const std::uint8_t*>(s), 9)),
             0xCBF43926u);
+}
+
+// The textbook one-table CRC-32, one byte per step: the oracle the
+// slicing-by-8 persist::crc32 must match.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Wire, Crc32MatchesBytewiseReference) {
+  const char* check = "123456789";
+  const std::span<const std::uint8_t> nine(
+      reinterpret_cast<const std::uint8_t*>(check), 9);
+  EXPECT_EQ(persist::crc32(nine), 0xCBF43926u);
+  EXPECT_EQ(bytewise_crc32(nine), 0xCBF43926u);
+  EXPECT_EQ(persist::crc32({}), 0u);
+  EXPECT_EQ(bytewise_crc32({}), 0u);
+
+  // Random buffers of every length class, read from unaligned starts so
+  // the 8-byte folds see every phase of the tail loop.
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  std::vector<std::uint8_t> pool(4100 + 8);
+  for (std::uint8_t& b : pool) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  for (std::size_t len = 0; len <= 4100; len += (len < 80 ? 1 : 97)) {
+    for (std::size_t start = 0; start < 8; ++start) {
+      const std::span<const std::uint8_t> buf(pool.data() + start, len);
+      ASSERT_EQ(persist::crc32(buf), bytewise_crc32(buf))
+          << "length " << len << " offset " << start;
+    }
+  }
+  const std::span<const std::uint8_t> all(pool.data() + 3, 4100);
+  EXPECT_EQ(persist::crc32(all), bytewise_crc32(all));
 }
 
 TEST(Wire, Fnv1a64KnownVectors) {
@@ -401,23 +447,26 @@ TEST(CheckpointIo, WriteLoadRotateAndFallBack) {
   persist::CheckpointState first = sample_state();
   first.user_tag = 1;
   ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(), first));
-  EXPECT_TRUE(fs::exists(paths.current));
-  EXPECT_FALSE(fs::exists(paths.temp));
+  // An empty directory's first commit lands in slot 0.
+  EXPECT_EQ(read_bytes(paths.current),
+            persist::encode_slot(1, persist::encode_checkpoint(first)));
 
   persist::CheckpointState second = sample_state();
   second.user_tag = 2;
   ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(), second));
-  EXPECT_TRUE(fs::exists(paths.previous));  // rotated generation
 
-  auto loaded = persist::load_checkpoint_file(dir.path.string());
+  const auto loaded = persist::load_checkpoint_slot(dir.path.string());
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->user_tag, 2u);
+  EXPECT_EQ(loaded->first.user_tag, 2u);
+  EXPECT_EQ(loaded->second.slot, 1);  // the second commit spared slot 0
+  const std::string newest = paths.slots()[loaded->second.slot];
+  const std::string older = paths.slots()[1 - loaded->second.slot];
 
-  // Corrupt the current file: the loader must log the rejection and
-  // fall back to the rotated predecessor.
-  auto bytes = read_bytes(paths.current);
+  // Corrupt the newest slot: the loader must log the rejection and
+  // fall back to the older one.
+  auto bytes = read_bytes(newest);
   bytes[bytes.size() / 2] ^= 0xFF;
-  write_bytes(paths.current, bytes);
+  write_bytes(newest, bytes);
   std::string log;
   std::optional<persist::CheckpointState> fallback;
   log = capture_log([&] {
@@ -427,10 +476,10 @@ TEST(CheckpointIo, WriteLoadRotateAndFallBack) {
   EXPECT_EQ(fallback->user_tag, 1u);
   EXPECT_NE(log.find("checkpoint"), std::string::npos) << log;
 
-  // Corrupt the predecessor too: nothing usable left.
-  auto prev = read_bytes(paths.previous);
+  // Corrupt the older slot too: nothing usable left.
+  auto prev = read_bytes(older);
   prev.resize(prev.size() / 2);  // truncate
-  write_bytes(paths.previous, prev);
+  write_bytes(older, prev);
   log = capture_log([&] {
     fallback = persist::load_checkpoint_file(dir.path.string());
   });

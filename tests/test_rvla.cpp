@@ -8,9 +8,11 @@
 //    (tests/wire_fuzz.h) holds the accepted-implies-canonical dichotomy
 //    over mutants and random buffers,
 //  - writer/cursor: growing an archive frame by frame produces the
-//    exact bytes of encoding it at once, the cursor streams the frames
-//    back, tolerates crash debris past the committed length (which the
-//    next append truncates away), and rejects a data file cut below it,
+//    exact data bytes of encoding it at once and a newest head slot
+//    holding its exact head, the cursor streams the frames back,
+//    tolerates crash debris past the committed length (which the next
+//    append truncates away), and rejects a data file cut below it (the
+//    torn-head-slot battery lives in tests/test_slot_file.cpp),
 //  - queries: every streaming query in src/analytics/queries.h is
 //    oracle-gated against a LongitudinalStore fed the same rounds —
 //    value-equal through the shared CSV renderers, and byte-equal
@@ -37,6 +39,7 @@
 #include "analytics/rvla_io.h"
 #include "core/longitudinal.h"
 #include "core/publish.h"
+#include "persist/slot_file.h"
 #include "serve/score_feed.h"
 #include "util/date.h"
 #include "wire_fuzz.h"
@@ -295,6 +298,20 @@ std::vector<RvlaFrame> drain(const std::string& directory) {
   return out;
 }
 
+/// The payload of the newest valid head slot: the head every reader
+/// commits to.
+std::vector<std::uint8_t> newest_head(const fs::path& dir) {
+  std::vector<std::uint8_t> head;
+  const auto choice = persist::load_newest_slot(
+      analytics::RvlaPaths::in(dir.string()).heads(), "rvla",
+      [&head](std::span<const std::uint8_t> payload, std::string*) {
+        head.assign(payload.begin(), payload.end());
+        return true;
+      });
+  EXPECT_TRUE(choice.has_value() && choice->slotted);
+  return head;
+}
+
 TEST(RvlaIo, IncrementalAppendsMatchEncodeAtOnce) {
   for (const std::vector<RvlaFrame>& frames : corpus()) {
     TempDir dir;
@@ -307,7 +324,7 @@ TEST(RvlaIo, IncrementalAppendsMatchEncodeAtOnce) {
     const RvlaImage image = analytics::encode_archive(frames);
     const analytics::RvlaPaths paths =
         analytics::RvlaPaths::in(dir.path.string());
-    EXPECT_EQ(read_bytes(paths.head), image.head);
+    EXPECT_EQ(newest_head(dir.path), image.head);
     EXPECT_EQ(read_bytes(paths.data), image.data);
     EXPECT_EQ(drain(dir.path.string()), frames);
   }
@@ -329,7 +346,7 @@ TEST(RvlaIo, CreateWithInitialFramesMatchesGrown) {
   const RvlaImage image = analytics::encode_archive(shorter);
   const analytics::RvlaPaths paths =
       analytics::RvlaPaths::in(dir.path.string());
-  EXPECT_EQ(read_bytes(paths.head), image.head);
+  EXPECT_EQ(newest_head(dir.path), image.head);
   EXPECT_EQ(read_bytes(paths.data), image.data);
 }
 
@@ -340,7 +357,7 @@ TEST(RvlaIo, CursorToleratesCrashDebrisStrictCodecDoesNot) {
   auto writer = RvlaWriter::create(dir.path.string(), frames, &error);
   ASSERT_TRUE(writer.has_value()) << error;
 
-  // A crash between the data append and the head swap leaves bytes past
+  // A crash between the data append and the head commit leaves bytes past
   // the committed length. The cursor must ignore them...
   const analytics::RvlaPaths paths =
       analytics::RvlaPaths::in(dir.path.string());
@@ -352,7 +369,7 @@ TEST(RvlaIo, CursorToleratesCrashDebrisStrictCodecDoesNot) {
 
   // ...the strict codec must not (it models exact committed bytes)...
   EXPECT_FALSE(
-      analytics::decode_archive(read_bytes(paths.head), data, &error)
+      analytics::decode_archive(newest_head(dir.path), data, &error)
           .has_value());
 
   // ...and the next append truncates the debris away before committing.

@@ -117,6 +117,23 @@ bool read_u64(const Args& args, const char* flag, std::uint64_t& out) {
   return false;
 }
 
+/// --checkpoint-every: a round count the engine's int holds. 0, or a
+/// value above INT_MAX, would write no periodic checkpoint at all.
+bool read_checkpoint_every(const Args& args, int& out) {
+  std::uint64_t every = 1;
+  if (!read_u64(args, "checkpoint-every", every)) return false;
+  if (every >= 1 &&
+      every <= static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    out = static_cast<int>(every);
+    return true;
+  }
+  std::fprintf(stderr,
+               "error: --checkpoint-every wants a round count in [1, %d], "
+               "got '%s'\n",
+               std::numeric_limits<int>::max(), args.get("checkpoint-every"));
+  return false;
+}
+
 bool read_date(const Args& args, const char* flag, util::Date& out) {
   const char* v = args.get(flag);
   if (v == nullptr || util::Date::parse(v, out)) return true;
@@ -241,8 +258,9 @@ int usage() {
       "          to stdout or --out; --publish re-emits the section-2\n"
       "          dataset byte-identically to `longitudinal --publish`\n"
       "  checkpoint inspect (--dir DIR | --file FILE)\n"
-      "          print the header, section table and integrity verdict\n"
-      "          of a checkpoint without restoring it\n"
+      "          print each slot's seq and CRC verdict, the RVCP section\n"
+      "          table and integrity verdict, and the slot a resume\n"
+      "          would take, without restoring anything\n"
       "  serve   --seed N --rounds N [--interval-days N]\n"
       "          [--start YYYY-MM-DD]\n"
       "          [--scale small|paper] [--port P] [--workers N]\n"
@@ -467,14 +485,14 @@ int cmd_longitudinal(const Args& args) {
   std::uint64_t rounds = 0;
   std::uint64_t interval_days = 30;
   std::uint64_t threads = 0;
-  std::uint64_t checkpoint_every = 1;
+  int checkpoint_every = 1;
   // Test hook for the tier-1 crash-safety stage: simulate a process
   // death (no destructors, no exit checkpoint) after N completed rounds.
   std::uint64_t die_after = 0;
   if (!read_u64(args, "seed", seed) || !read_u64(args, "rounds", rounds) ||
       !read_u64(args, "interval-days", interval_days) ||
       !read_u64(args, "threads", threads) ||
-      !read_u64(args, "checkpoint-every", checkpoint_every) ||
+      !read_checkpoint_every(args, checkpoint_every) ||
       !read_u64(args, "die-after", die_after)) {
     return 2;
   }
@@ -538,7 +556,7 @@ int cmd_longitudinal(const Args& args) {
   if (args.has("checkpoint-dir")) {
     config.checkpoint_dir = args.get("checkpoint-dir", "");
     if (config.checkpoint_dir.empty()) return usage();
-    config.checkpoint_every = static_cast<int>(checkpoint_every);
+    config.checkpoint_every = checkpoint_every;
     // Series-shape guard: the engine digest covers the world and the
     // measurement config; this covers the CLI-level schedule, so a
     // checkpoint from a differently-paced series is refused on resume.
@@ -767,30 +785,15 @@ int cmd_analyze(const Args& args) {
   return 0;
 }
 
-int cmd_checkpoint_inspect(const Args& args) {
-  std::string path;
-  if (const char* file = args.get("file")) {
-    path = file;
-  } else if (const char* dir = args.get("dir")) {
-    path = persist::CheckpointPaths::in(dir).current;
-  } else {
-    return usage();
-  }
-
-  const auto bytes = persist::read_file_bytes(path);
-  if (!bytes.has_value()) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-    return 1;
-  }
-  const auto info = persist::inspect_checkpoint(*bytes);
+// The section table and decode verdict of one RVCP image; true iff it
+// loads.
+bool print_rvcp(std::span<const std::uint8_t> bytes) {
+  const auto info = persist::inspect_checkpoint(bytes);
   if (!info.has_value()) {
-    std::printf("%s: %zu bytes — too short to contain an RVCP header\n",
-                path.c_str(), bytes->size());
-    return 1;
+    std::printf("  RVCP image of %zu bytes — too short for a header\n",
+                bytes.size());
+    return false;
   }
-
-  std::printf("%s: %llu bytes\n", path.c_str(),
-              static_cast<unsigned long long>(info->file_size));
   std::printf("  magic            %s\n", info->magic_ok ? "RVCP" : "BAD");
   std::printf("  format version   %u%s\n", info->format_version,
               info->version_supported ? "" : " (unsupported)");
@@ -814,16 +817,16 @@ int cmd_checkpoint_inspect(const Args& args) {
 
   if (!info->decodes) {
     std::string error;
-    persist::decode_checkpoint(*bytes, &error);
-    std::printf("verdict: NOT loadable — %s\n", error.c_str());
-    return 1;
+    persist::decode_checkpoint(bytes, &error);
+    std::printf("  verdict: NOT loadable — %s\n", error.c_str());
+    return false;
   }
-  const auto state = persist::decode_checkpoint(*bytes);
+  const auto state = persist::decode_checkpoint(bytes);
   std::size_t cached = 0;
   for (const auto& e : state->cache_entries) {
     if (e.has_value()) ++cached;
   }
-  std::printf("verdict: loadable\n");
+  std::printf("  verdict: loadable\n");
   std::printf("  config digest    %016llx\n",
               static_cast<unsigned long long>(state->config_digest));
   std::printf("  series tag       %016llx\n",
@@ -843,6 +846,55 @@ int cmd_checkpoint_inspect(const Args& args) {
               state->cache_vvp_addrs.size(), state->cache_tnode_addrs.size(),
               cached);
   std::printf("  VRP snapshot     %zu VRPs\n", state->vrps.size());
+  return true;
+}
+
+// One checkpoint file, slot image or unslotted image from an older
+// build: its slot verdict, then the RVCP report of what it holds. True
+// iff it loads.
+bool print_checkpoint_file(const std::string& path) {
+  const persist::SlotFile f = persist::read_slot(path);
+  using Kind = persist::SlotFile::Kind;
+  switch (f.kind) {
+    case Kind::kAbsent:
+      std::printf("%s: absent or empty\n", path.c_str());
+      return false;
+    case Kind::kValid:
+      std::printf("%s: %zu bytes, slot seq %llu, slot CRC ok\n", path.c_str(),
+                  f.bytes.size(), static_cast<unsigned long long>(f.seq));
+      break;
+    case Kind::kTorn:
+      std::printf("%s: %zu bytes, slot image BAD — %s\n", path.c_str(),
+                  f.bytes.size(), f.why.c_str());
+      break;
+    case Kind::kUnslotted:
+      std::printf("%s: %zu bytes, unslotted image (older build)\n",
+                  path.c_str(), f.bytes.size());
+      break;
+  }
+  return print_rvcp(f.payload()) && f.kind != Kind::kTorn;
+}
+
+int cmd_checkpoint_inspect(const Args& args) {
+  if (const char* file = args.get("file")) {
+    return print_checkpoint_file(file) ? 0 : 1;
+  }
+  const char* dir = args.get("dir");
+  if (dir == nullptr) return usage();
+  const persist::CheckpointPaths paths = persist::CheckpointPaths::in(dir);
+  for (const std::string& slot : paths.slots()) print_checkpoint_file(slot);
+  const auto loaded = persist::load_checkpoint_slot(dir);
+  if (!loaded.has_value()) {
+    std::printf("resume: nothing loadable in %s — a resume cold-starts\n",
+                dir);
+    return 1;
+  }
+  const persist::SlotChoice& from = loaded->second;
+  const std::string which = from.slotted
+                                ? "seq " + std::to_string(from.seq)
+                                : std::string("unslotted image");
+  std::printf("resume takes slot %d: %s (%s)\n", from.slot,
+              paths.slots()[from.slot].c_str(), which.c_str());
   return 0;
 }
 
@@ -853,13 +905,13 @@ int cmd_serve(const Args& args) {
   std::uint64_t threads = 0;
   std::uint64_t port = 0;
   std::uint64_t workers = 2;
-  std::uint64_t checkpoint_every = 1;
+  int checkpoint_every = 1;
   std::uint64_t warn_depth = 0;
   if (!read_u64(args, "seed", seed) || !read_u64(args, "rounds", rounds) ||
       !read_u64(args, "interval-days", interval_days) ||
       !read_u64(args, "threads", threads) || !read_u64(args, "port", port) ||
       !read_u64(args, "workers", workers) ||
-      !read_u64(args, "checkpoint-every", checkpoint_every) ||
+      !read_checkpoint_every(args, checkpoint_every) ||
       !read_u64(args, "warn-depth", warn_depth)) {
     return 2;
   }
@@ -899,7 +951,7 @@ int cmd_serve(const Args& args) {
   if (args.has("checkpoint-dir")) {
     config.checkpoint_dir = args.get("checkpoint-dir", "");
     if (config.checkpoint_dir.empty()) return usage();
-    config.checkpoint_every = static_cast<int>(checkpoint_every);
+    config.checkpoint_every = checkpoint_every;
     // Same series-shape tag as cmd_longitudinal: a serve daemon resumes
     // checkpoints written by an equally-paced longitudinal series.
     persist::ByteWriter tag;
