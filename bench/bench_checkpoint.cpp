@@ -1,12 +1,15 @@
 // bench_checkpoint — what crash-safety costs and what resume saves.
 //
 // Runs a 4-round fixture-scale longitudinal series, measuring per round
-// the measurement work itself, the checkpoint state capture + RVCP
-// encode, and the durable write (encode + in-place slot commit with
-// fdatasync on the held CheckpointWriter), plus the RVCP size. Then
-// simulates a restart after round 3: loads the newest slot of a copy of
-// the checkpoint directory through the slot-aware loader, restores a
-// fresh runner (world replay + store rebuild), and compares that
+// the measurement work itself (which includes the round's durable RVLA
+// append), the checkpoint state capture + RVCP encode, and the durable
+// write (encode + in-place slot commit with fdatasync on the held
+// CheckpointWriter), plus the RVCP size, which stays flat: the
+// checkpoint names an archive prefix instead of holding the rounds.
+// Then simulates a restart after round 3: loads the newest slot of a
+// copy of the checkpoint directory through the slot-aware loader,
+// restores a fresh runner over a copy of the archive as it stood then
+// (frame stream + world replay + store rebuild), and compares that
 // against the cold alternative of re-running the first three rounds
 // from scratch.
 //
@@ -115,7 +118,9 @@ int main() {
   fs::remove_all(ckdir);
 
   // Uninterrupted series, with per-round checkpoint cost accounting.
-  incremental::IncrementalLongitudinalRunner uninterrupted(config);
+  incremental::IncrementalConfig archived = config;
+  archived.archive_dir = (fs::path(ckdir) / "archive").string();
+  incremental::IncrementalLongitudinalRunner uninterrupted(archived);
   auto writer = persist::CheckpointWriter::open(ckdir);
   if (!writer.has_value()) {
     std::fprintf(stderr, "FAIL: cannot open the checkpoint slots\n");
@@ -148,14 +153,17 @@ int main() {
     samples.push_back(s);
 
     if (i + 1 == kResumeAfter) {
-      // Freeze the after-round-3 slots for the resume measurement: the
-      // next write overwrites the older slot, so copy both aside.
+      // Freeze the after-round-3 slots and archive for the resume
+      // measurement: the next round appends a frame and overwrites the
+      // older slot, so copy them aside.
       fs::create_directories(frozen_dir);
       for (const std::string& slot :
            persist::CheckpointPaths::in(ckdir).slots()) {
         fs::copy_file(slot, fs::path(frozen_dir) / fs::path(slot).filename(),
                       fs::copy_options::overwrite_existing);
       }
+      fs::copy(archived.archive_dir, fs::path(frozen_dir) / "archive",
+               fs::copy_options::recursive);
     }
   }
 
@@ -163,11 +171,13 @@ int main() {
   Clock::time_point t = Clock::now();
   const auto state = persist::load_checkpoint_file(frozen_dir);
   if (!state.has_value() ||
-      state->rounds.size() != static_cast<std::size_t>(kResumeAfter)) {
+      state->archive.frames != static_cast<std::uint64_t>(kResumeAfter)) {
     std::fprintf(stderr, "FAIL: frozen checkpoint does not load\n");
     return 1;
   }
-  incremental::IncrementalLongitudinalRunner resumed(config);
+  incremental::IncrementalConfig resume_config = config;
+  resume_config.archive_dir = (fs::path(frozen_dir) / "archive").string();
+  incremental::IncrementalLongitudinalRunner resumed(resume_config);
   if (!resumed.restore(*state)) {
     std::fprintf(stderr, "FAIL: restore refused a valid checkpoint\n");
     return 1;

@@ -370,6 +370,7 @@ void write_json(const OverheadResult& overhead, const FaultedResult& faulted) {
   }
   const scenario::ScenarioParams params = fixture_params();
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_json().c_str());
   std::fprintf(f,
                "  \"scenario\": {\"seed\": %llu, \"rounds\": %d, "
                "\"interval_days\": %d, \"threads\": %d},\n",

@@ -25,11 +25,15 @@
 #      SLURM-policy series (--slurm-fraction): delta installs must run
 #      through the per-view dirty-set path of apply_vrp_delta, and the
 #      published CSVs may not depend on incremental mode, thread count,
-#      or where the series was interrupted,
+#      or where the series was interrupted; the series passes
+#      --checkpoint-dir alone, so its archive lives in the checkpoint
+#      directory, and `analyze --publish` of that archive must match too,
 #   7. the same contract under fault injection (--rp-failure-rate /
 #      --rp-divergence-fraction / --rtr-drop-rate): kill mid-series,
 #      resume at a different thread count, and byte-diff against both an
-#      uninterrupted incremental run and a full recompute,
+#      uninterrupted incremental run and a full recompute, and
+#      `analyze --publish` of the archive in the checkpoint directory
+#      against the uninterrupted run,
 #   8. TSan epoch-snapshot stress: multi-seed readers-vs-installer
 #      harness (reader threads pinned to an epoch across >= 3
 #      concurrent publishes, including a zero-VRP-delta fault-window
@@ -54,12 +58,16 @@
 #      streaming-vs-store identity gates green ("ok": true),
 #  13. CLI refusals: `loadgen --reach-fraction` above 0 without
 #      --reach-dst, any flag a subcommand does not accept, a malformed
-#      number, and a --checkpoint-every outside [1, 2^31-1] exit 2 with
-#      a one-line error (stage 1b),
+#      number (query and analyze included), --resume or
+#      --checkpoint-every without --checkpoint-dir, and a
+#      --checkpoint-every outside [1, 2^31-1] exit 2 with a one-line
+#      error (stage 1b),
 #  14. steady-state daily series: 300 daily rounds on the small world
 #      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
-#      and its first 60 rounds' published CSVs byte-identical to the
-#      same 60 rounds under --incremental off.
+#      its newest checkpoint slot at most 20,000 bytes (the checkpoint
+#      names an archive prefix, so it does not grow with the rounds), and
+#      its first 60 rounds' published CSVs byte-identical to the same 60
+#      rounds under --incremental off.
 #
 # Every stage runs under its own timeout and the script fails fast: the
 # first stage to fail (or hang past its budget) stops the run with a
@@ -119,7 +127,7 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, out-of-range --checkpoint-every)"
+stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, checkpoint flags without --checkpoint-dir, out-of-range --checkpoint-every)"
 # Each is refused before any world is built or connection attempted.
 refuse() {
   local status=0
@@ -138,6 +146,15 @@ refuse measure --engine replica
 refuse longitudinal --rounds 1 --engine snapshot
 refuse measure --threads x
 refuse longitudinal --rounds 2 --interval-days x
+refuse longitudinal --rounds 2 --resume
+refuse longitudinal --rounds 2 --checkpoint-every 3
+refuse query --asn x
+refuse analyze --query jumps --low x
+refuse analyze --query fraction-trend --threshold abc
+refuse analyze --archive "$DOCS_TMP" --query series
+refuse longitudinal --rounds 2 --scale huge
+refuse serve --rounds 1 --port 70000
+refuse measure --out "$DOCS_TMP/m" --topology bogus
 # 0, or a value the engine's int cannot hold, would write no periodic
 # checkpoint at all.
 for every in 0 3000000000; do
@@ -272,6 +289,15 @@ if [ "$ms" -gt 10000 ]; then
   echo "300-round daily series took ${ms} ms (ceiling 10000 ms)" >&2
   exit 1
 fi
+# The checkpoint names an archive prefix instead of re-encoding every
+# round, so its size does not grow with the series.
+t 300 "$CLI" checkpoint inspect --dir "$SS/ck" > "$SS/inspect.txt"
+newest="$(awk '/^resume takes slot/ {print $5}' "$SS/inspect.txt")"
+if [ ! -s "$newest" ] || [ "$(stat -c %s "$newest")" -gt 20000 ]; then
+  echo "newest checkpoint slot of the 300-round series is over 20000 bytes" >&2
+  cat "$SS/inspect.txt" >&2
+  exit 1
+fi
 t 600 "$CLI" longitudinal --scale small --seed 3 --rounds 60 \
   --interval-days 1 --threads 4 --incremental off \
   --publish "$SS/full" >/dev/null
@@ -374,13 +400,21 @@ diff -r "$CK_TMP/slurm-resumed" "$CK_TMP/slurm-incr" >/dev/null || {
   echo "SLURM resumed series published different CSV bytes" >&2
   exit 1
 }
+# Without --archive the series' archive lives in the checkpoint dir.
+t 300 "$CLI" analyze --archive "$CK_TMP/slurm-ck" \
+  --publish "$CK_TMP/slurm-analyze" >/dev/null
+diff -r "$CK_TMP/slurm-analyze" "$CK_TMP/slurm-incr" >/dev/null || {
+  echo "the SLURM series' archive published different CSV bytes" >&2
+  exit 1
+}
 diff -r "$CK_TMP/slurm-incr" "$CK_TMP/slurm-full" >/dev/null || {
   echo "SLURM incremental series diverged from full recompute" >&2
   exit 1
 }
 
 # Fault-injected series: the checkpoint lands mid-failure-window (the
-# RVCP version-2 container), the resume replays the same fault world,
+# RVCP container with its FAULTS section), the resume replays the same
+# fault world,
 # and neither incremental mode, thread count, nor the interruption point
 # may change a published byte — degradation.csv included.
 stage "fault-injection crash/resume + incremental-vs-full byte-diff"
@@ -413,6 +447,12 @@ if [ ! -s "$CK_TMP/fault-incr/degradation.csv" ]; then
 fi
 diff -r "$CK_TMP/fault-resumed" "$CK_TMP/fault-incr" >/dev/null || {
   echo "faulted resumed series published different CSV bytes" >&2
+  exit 1
+}
+t 300 "$CLI" analyze --archive "$CK_TMP/fault-ck" \
+  --publish "$CK_TMP/fault-analyze" >/dev/null
+diff -r "$CK_TMP/fault-analyze" "$CK_TMP/fault-incr" >/dev/null || {
+  echo "the faulted series' archive published different CSV bytes" >&2
   exit 1
 }
 diff -r "$CK_TMP/fault-incr" "$CK_TMP/fault-full" >/dev/null || {

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <map>
 
 #include "analytics/rvla_io.h"
+#include "core/publish.h"
 #include "util/csv.h"
 
 namespace rovista::analytics {
-
-namespace fs = std::filesystem;
 
 using util::Date;
 
@@ -249,35 +247,19 @@ std::optional<std::vector<ChurnRow>> churn(const std::string& directory,
 std::optional<std::size_t> publish_archive(const std::string& directory,
                                            const std::string& out_directory,
                                            std::string* error) {
-  std::error_code ec;
-  fs::create_directories(out_directory, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "rvla: cannot create " + out_directory + ": " + ec.message();
-    }
+  std::string why;
+  std::optional<core::DatasetWriter> out =
+      core::DatasetWriter::create(out_directory, &why);
+  if (!out.has_value()) {
+    if (error != nullptr) *error = "rvla: " + why;
     return std::nullopt;
   }
-
-  util::Table index({"date", "ases_scored"});
   std::map<Date, core::RoundHealth> health;
-  std::size_t written = 0;
-  bool io_ok = true;
-
+  std::vector<std::pair<core::Asn, double>> rows;
   DateGrouper grouper(
-      [&](Date date, const std::map<core::Asn, double>& rows) {
-        // Identical columns, row order and formatting to
-        // core::publish_scores — tier-1 byte-diffs the two outputs.
-        util::Table table({"asn", "score", "vvp_count", "tnodes_consistent",
-                           "tnodes_outbound"});
-        for (const auto& [asn, score] : rows) {
-          table.add_row({std::to_string(asn), util::fmt_double(score, 2),
-                         "0", "0", "0"});
-        }
-        const std::string filename = "scores-" + date.to_string() + ".csv";
-        io_ok = io_ok &&
-                table.write_csv((fs::path(out_directory) / filename).string());
-        index.add_row({date.to_string(), std::to_string(rows.size())});
-        ++written;
+      [&](Date date, const std::map<core::Asn, double>& merged) {
+        rows.assign(merged.begin(), merged.end());
+        out->add_date(date, rows);
       });
   bool ok = stream_frames(directory, error, [&](const RvlaFrame& frame) {
     grouper.add(frame);
@@ -286,24 +268,9 @@ std::optional<std::size_t> publish_archive(const std::string& directory,
   if (!ok) return std::nullopt;
   grouper.finish();
 
-  io_ok = io_ok &&
-          index.write_csv((fs::path(out_directory) / "index.csv").string());
-  if (!health.empty()) {
-    util::Table table({"date", "stale_ases", "expired_ases", "diverged_ases",
-                       "max_staleness_days", "error_reports"});
-    for (const auto& [date, h] : health) {
-      table.add_row({date.to_string(), std::to_string(h.stale_ases),
-                     std::to_string(h.expired_ases),
-                     std::to_string(h.diverged_ases),
-                     std::to_string(h.max_staleness_days),
-                     std::to_string(h.error_reports)});
-    }
-    io_ok = io_ok && table.write_csv(
-                         (fs::path(out_directory) / "degradation.csv").string());
-  }
-  if (!io_ok) {
-    if (error != nullptr) *error = "rvla: writing dataset failed";
-    return std::nullopt;
+  const std::optional<std::size_t> written = out->finish(health);
+  if (!written.has_value() && error != nullptr) {
+    *error = "rvla: writing dataset failed";
   }
   return written;
 }

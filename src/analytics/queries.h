@@ -69,9 +69,10 @@ std::optional<std::vector<ChurnRow>> churn(const std::string& directory,
                                            std::string* error);
 
 /// Streaming re-publication of the §2 CSV dataset (index.csv +
-/// scores-DATE.csv + optional degradation.csv), byte-identical to
-/// core::publish_scores on a store fed the same rounds. Returns the
-/// number of per-date snapshots written.
+/// scores-DATE.csv + optional degradation.csv) through the same
+/// core::DatasetWriter as core::publish_scores, so it is byte-identical
+/// to publishing a store fed the same rounds. Returns the number of
+/// per-date snapshots written.
 std::optional<std::size_t> publish_archive(const std::string& directory,
                                            const std::string& out_directory,
                                            std::string* error);

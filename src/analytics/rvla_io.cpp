@@ -1,10 +1,12 @@
 #include "analytics/rvla_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 
+#include "persist/wire.h"
 #include "util/logging.h"
 
 namespace rovista::analytics {
@@ -16,6 +18,16 @@ namespace {
 bool set_error(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
   return false;
+}
+
+std::optional<persist::SlotWriter> open_heads(const RvlaPaths& paths,
+                                              std::string* why) {
+  return persist::SlotWriter::open(
+      paths.heads(),
+      [](std::span<const std::uint8_t> bytes) {
+        return decode_head(bytes, nullptr).has_value();
+      },
+      why);
 }
 
 }  // namespace
@@ -30,9 +42,11 @@ RvlaPaths RvlaPaths::in(const std::string& directory) {
 }
 
 RvlaWriter::RvlaWriter(std::string directory, RvlaHead head,
-                       persist::DurableFile data, persist::SlotWriter heads)
+                       std::uint32_t crc, persist::DurableFile data,
+                       persist::SlotWriter heads)
     : directory_(std::move(directory)),
       head_(head),
+      crc_(crc),
       data_(std::move(data)),
       heads_(std::move(heads)) {}
 
@@ -65,12 +79,7 @@ std::optional<RvlaWriter> RvlaWriter::create(
   // Retire both head slots before the data rename: between the two
   // steps the archive reads as absent, never as an old head over new
   // bytes.
-  auto heads = persist::SlotWriter::open(
-      paths.heads(),
-      [](std::span<const std::uint8_t> bytes) {
-        return decode_head(bytes, nullptr).has_value();
-      },
-      &why);
+  auto heads = open_heads(paths, &why);
   if (!heads.has_value() || !heads->retire(&why)) {
     set_error(error, "rvla: " + why);
     return std::nullopt;
@@ -88,7 +97,25 @@ std::optional<RvlaWriter> RvlaWriter::create(
     return std::nullopt;
   }
   return RvlaWriter(directory, *decode_head(image.head, nullptr),
-                    std::move(*data), std::move(*heads));
+                    persist::crc32(image.data), std::move(*data),
+                    std::move(*heads));
+}
+
+std::optional<RvlaWriter> RvlaWriter::reopen(const std::string& directory,
+                                             const RvlaHead& head,
+                                             std::uint32_t crc,
+                                             std::string* error) {
+  const RvlaPaths paths = RvlaPaths::in(directory);
+  std::string why;
+  auto data = persist::DurableFile::open(paths.data, nullptr, &why);
+  std::optional<persist::SlotWriter> heads;
+  if (data.has_value()) heads = open_heads(paths, &why);
+  if (!heads.has_value() || !heads->commit(encode_head(head), &why)) {
+    set_error(error, "rvla: " + why);
+    return std::nullopt;
+  }
+  return RvlaWriter(directory, head, crc, std::move(*data),
+                    std::move(*heads));
 }
 
 bool RvlaWriter::append(const RvlaFrame& frame, std::string* error) {
@@ -113,6 +140,7 @@ bool RvlaWriter::append(const RvlaFrame& frame, std::string* error) {
     return set_error(error, "rvla: " + why);
   }
   head_ = next;
+  crc_ = persist::crc32(bytes, crc_);
   return true;
 }
 
@@ -199,6 +227,23 @@ std::optional<RvlaFrame> RvlaCursor::next() {
   min_date_days_ = frame->date.days_since_epoch();
   ++seen_;
   return frame;
+}
+
+std::optional<std::uint32_t> data_crc(const std::string& directory,
+                                      std::uint64_t length) {
+  std::ifstream file(RvlaPaths::in(directory).data, std::ios::binary);
+  std::vector<std::uint8_t> chunk(std::size_t{1} << 16);
+  std::uint32_t crc = 0;
+  while (file && length > 0) {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(length, chunk.size()));
+    file.read(reinterpret_cast<char*>(chunk.data()),
+              static_cast<std::streamsize>(n));
+    crc = persist::crc32({chunk.data(), n}, crc);
+    length -= n;
+  }
+  if (!file) return std::nullopt;
+  return crc;
 }
 
 }  // namespace rovista::analytics

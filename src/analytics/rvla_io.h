@@ -14,7 +14,8 @@
 // The cursor streams one frame at a time off disk, so walking an
 // N-round archive needs O(max frame) memory, not O(N): that is what
 // lets src/analytics/queries.h answer the paper's longitudinal queries
-// without materializing the LongitudinalStore matrix.
+// without materializing the LongitudinalStore matrix, and what a
+// resuming engine replays its history from.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +41,10 @@ struct RvlaPaths {
 };
 
 /// Append-side handle, move-only: it holds archive.rvla and both head
-/// slots open. `create` installs a fresh archive holding `frames`
-/// (usually none); each `append` durably commits one frame in O(frame)
-/// work, independent of archive length.
+/// slots open. `create` installs a fresh archive holding `frames`;
+/// `reopen` continues an existing one from a prefix of its frames; each
+/// `append` durably commits one frame in O(frame) work, independent of
+/// archive length.
 class RvlaWriter {
  public:
   /// Create (or atomically replace) the archive in `directory`.
@@ -50,17 +52,30 @@ class RvlaWriter {
                                           std::span<const RvlaFrame> frames,
                                           std::string* error);
 
+  /// Commit `head` as the archive's head in `directory`, cutting the
+  /// archive back to the frames it names: bytes past its data_size turn
+  /// into crash debris that the next append truncates. `head` must name
+  /// a prefix of the committed frames, as RvlaCursor::read_head() does
+  /// after a walk, and `crc` must be data_crc() of its data_size.
+  static std::optional<RvlaWriter> reopen(const std::string& directory,
+                                          const RvlaHead& head,
+                                          std::uint32_t crc,
+                                          std::string* error);
+
   bool append(const RvlaFrame& frame, std::string* error);
 
   const RvlaHead& head() const noexcept { return head_; }
+  /// CRC-32 of archive.rvla up to head().data_size.
+  std::uint32_t crc() const noexcept { return crc_; }
   const std::string& directory() const noexcept { return directory_; }
 
  private:
-  RvlaWriter(std::string directory, RvlaHead head, persist::DurableFile data,
-             persist::SlotWriter heads);
+  RvlaWriter(std::string directory, RvlaHead head, std::uint32_t crc,
+             persist::DurableFile data, persist::SlotWriter heads);
 
   std::string directory_;
   RvlaHead head_;
+  std::uint32_t crc_;
   persist::DurableFile data_;
   persist::SlotWriter heads_;
 };
@@ -80,6 +95,8 @@ class RvlaCursor {
   std::optional<RvlaFrame> next();
 
   const RvlaHead& head() const noexcept { return head_; }
+  /// The head that commits exactly the frames next() has yielded so far.
+  RvlaHead read_head() const noexcept { return {seen_, pos_, prev_}; }
   bool done() const noexcept { return done_; }
   bool failed() const noexcept { return failed_; }
   const std::string& error() const noexcept { return error_; }
@@ -100,5 +117,11 @@ class RvlaCursor {
   std::string error_;
   std::vector<std::uint8_t> buf_;  // reused per-frame scratch
 };
+
+/// CRC-32 of the first `length` bytes of archive.rvla in `directory` —
+/// what RvlaWriter::crc() read when its head's data_size was `length`.
+/// nullopt when the file is missing or shorter.
+std::optional<std::uint32_t> data_crc(const std::string& directory,
+                                      std::uint64_t length);
 
 }  // namespace rovista::analytics

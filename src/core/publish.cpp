@@ -12,58 +12,75 @@ namespace rovista::core {
 
 namespace fs = std::filesystem;
 
-std::optional<std::size_t> publish_scores(const LongitudinalStore& store,
-                                          const std::string& directory) {
+std::optional<DatasetWriter> DatasetWriter::create(
+    const std::string& directory, std::string* error) {
   std::error_code ec;
   fs::create_directories(directory, ec);
-  if (ec) return std::nullopt;
-
-  util::Table index({"date", "ases_scored"});
-  std::size_t written = 0;
-
-  for (const util::Date date : store.dates()) {
-    util::Table table(
-        {"asn", "score", "vvp_count", "tnodes_consistent", "tnodes_outbound"});
-    std::size_t rows = 0;
-    for (const Asn asn : store.ases()) {
-      const auto score = store.score_on(asn, date);
-      if (!score.has_value()) continue;
-      // vvp/tnode counters are not retained per-date by the store; the
-      // published format reserves the columns (zero when unknown) so the
-      // schema matches what a live deployment would emit.
-      table.add_row({std::to_string(asn), util::fmt_double(*score, 2), "0",
-                     "0", "0"});
-      ++rows;
+  if (ec) {
+    if (error != nullptr) {
+      *error = "cannot create " + directory + ": " + ec.message();
     }
-    const std::string filename = "scores-" + date.to_string() + ".csv";
-    if (!table.write_csv((fs::path(directory) / filename).string())) {
-      return std::nullopt;
-    }
-    index.add_row({date.to_string(), std::to_string(rows)});
-    ++written;
-  }
-
-  if (!index.write_csv((fs::path(directory) / "index.csv").string())) {
     return std::nullopt;
   }
+  return DatasetWriter(directory);
+}
+
+void DatasetWriter::add_date(Date date,
+                             std::span<const std::pair<Asn, double>> rows) {
+  util::Table table(
+      {"asn", "score", "vvp_count", "tnodes_consistent", "tnodes_outbound"});
+  for (const auto& [asn, score] : rows) {
+    // vvp/tnode counters are not retained per-date by the store or the
+    // archive; the published format reserves the columns (zero when
+    // unknown) so the schema matches what a live deployment would emit.
+    table.add_row(
+        {std::to_string(asn), util::fmt_double(score, 2), "0", "0", "0"});
+  }
+  const std::string filename = "scores-" + date.to_string() + ".csv";
+  ok_ = table.write_csv((fs::path(directory_) / filename).string()) && ok_;
+  index_.emplace_back(date, rows.size());
+}
+
+std::optional<std::size_t> DatasetWriter::finish(
+    const std::map<Date, RoundHealth>& health) {
+  util::Table index({"date", "ases_scored"});
+  for (const auto& [date, rows] : index_) {
+    index.add_row({date.to_string(), std::to_string(rows)});
+  }
+  ok_ = index.write_csv((fs::path(directory_) / "index.csv").string()) && ok_;
 
   // Round-health report, written only when some round recorded health —
   // fault-free datasets keep the exact pre-fault file set.
-  if (!store.health().empty()) {
-    util::Table health({"date", "stale_ases", "expired_ases", "diverged_ases",
-                        "max_staleness_days", "error_reports"});
-    for (const auto& [date, h] : store.health()) {
-      health.add_row({date.to_string(), std::to_string(h.stale_ases),
-                      std::to_string(h.expired_ases),
-                      std::to_string(h.diverged_ases),
-                      std::to_string(h.max_staleness_days),
-                      std::to_string(h.error_reports)});
+  if (!health.empty()) {
+    util::Table table({"date", "stale_ases", "expired_ases", "diverged_ases",
+                       "max_staleness_days", "error_reports"});
+    for (const auto& [date, h] : health) {
+      table.add_row({date.to_string(), std::to_string(h.stale_ases),
+                     std::to_string(h.expired_ases),
+                     std::to_string(h.diverged_ases),
+                     std::to_string(h.max_staleness_days),
+                     std::to_string(h.error_reports)});
     }
-    if (!health.write_csv((fs::path(directory) / "degradation.csv").string())) {
-      return std::nullopt;
-    }
+    ok_ = table.write_csv((fs::path(directory_) / "degradation.csv").string()) &&
+          ok_;
   }
-  return written;
+  if (!ok_) return std::nullopt;
+  return index_.size();
+}
+
+std::optional<std::size_t> publish_scores(const LongitudinalStore& store,
+                                          const std::string& directory) {
+  std::optional<DatasetWriter> out = DatasetWriter::create(directory);
+  if (!out.has_value()) return std::nullopt;
+  std::vector<std::pair<Asn, double>> rows;
+  for (const Date date : store.dates()) {
+    rows.clear();
+    for (const Asn asn : store.ases_on(date)) {
+      rows.emplace_back(asn, *store.score_on(asn, date));
+    }
+    out->add_date(date, rows);
+  }
+  return out->finish(store.health());
 }
 
 namespace {

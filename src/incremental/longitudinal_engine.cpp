@@ -141,7 +141,9 @@ scenario::VrpInstaller make_vrp_installer(bool incremental,
 IncrementalLongitudinalRunner::IncrementalLongitudinalRunner(
     IncrementalConfig config)
     : config_(std::move(config)),
-      publisher_(std::make_unique<snapshot::EpochPublisher>(config_.params)) {}
+      publisher_(std::make_unique<snapshot::EpochPublisher>(config_.params)),
+      archive_dir_(config_.archive_dir.empty() ? config_.checkpoint_dir
+                                               : config_.archive_dir) {}
 
 IncrementalLongitudinalRunner::~IncrementalLongitudinalRunner() {
   // Exit checkpoint: anything recorded since the last periodic write is
@@ -182,8 +184,10 @@ persist::CheckpointState IncrementalLongitudinalRunner::checkpoint_state()
   state.config_digest = config_digest(config_);
   state.user_tag = config_.checkpoint_user_tag;
   state.incremental = config_.incremental;
-  state.have_round = have_round_;
-  state.rounds = history_;
+  if (archive_writer_.has_value()) {
+    const analytics::RvlaHead& head = archive_writer_->head();
+    state.archive = {head.frame_count, head.data_size, archive_writer_->crc()};
+  }
   state.vvps = vvps_;
   state.tnodes = tnodes_;
   state.cache_vvp_addrs.assign(cache_.vvp_addrs().begin(),
@@ -232,21 +236,67 @@ bool IncrementalLongitudinalRunner::restore(
               "checkpoint: fault-injection mode mismatch — cold start");
     return false;
   }
-  for (std::size_t i = 1; i < state.rounds.size(); ++i) {
-    if (state.rounds[i].date < state.rounds[i - 1].date) {
+
+  // Stream the frames the checkpoint names: they rebuild the store and
+  // give the world replay its dates (the cursor refuses dates that go
+  // backwards). The archive must still hold that exact prefix — the
+  // same frame count, length and CRC — or the checkpoint describes
+  // some other history.
+  const persist::ArchiveRef& ref = state.archive;
+  std::string error;
+  auto cursor = analytics::RvlaCursor::open(archive_dir_, &error);
+  if (!cursor.has_value()) {
+    util::log(LogLevel::kWarn,
+              "checkpoint: no archive to resume from (" + error +
+                  ") — cold start");
+    return false;
+  }
+  if (cursor->head().frame_count < ref.frames) {
+    util::log(LogLevel::kWarn,
+              "checkpoint: archive commits " +
+                  std::to_string(cursor->head().frame_count) +
+                  " frame(s), the checkpoint names " +
+                  std::to_string(ref.frames) + " — cold start");
+    return false;
+  }
+  const char* const other_bytes =
+      "checkpoint: archive bytes differ from the checkpoint's reference "
+      "(length or CRC) — cold start";
+  if (analytics::data_crc(archive_dir_, ref.length) != ref.crc) {
+    util::log(LogLevel::kWarn, other_bytes);
+    return false;
+  }
+  core::LongitudinalStore store;
+  std::vector<Date> dates;
+  std::vector<core::AsScore> scores;
+  while (dates.size() < ref.frames) {
+    const std::optional<analytics::RvlaFrame> frame = cursor->next();
+    if (!frame.has_value()) {
       util::log(LogLevel::kWarn,
-                "checkpoint: round dates not monotone — cold start");
+                "checkpoint: archive frames unreadable — cold start");
       return false;
     }
+    scores.resize(frame->asns.size());
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      scores[i].asn = frame->asns[i];
+      scores[i].score = frame->scores[i];
+    }
+    store.record(frame->date, scores);
+    if (frame->has_health) store.record_health(frame->date, frame->health);
+    dates.push_back(frame->date);
+  }
+  const analytics::RvlaHead head = cursor->read_head();
+  if (head.data_size != ref.length) {
+    util::log(LogLevel::kWarn, other_bytes);
+    return false;
   }
 
-  // Replay the tracking world over the recorded dates, through the same
+  // Replay the tracking world over the archived dates, through the same
   // install path run_round uses. Deterministic and measurement-free:
   // only BGP/RP work, no probing.
   auto world = std::make_unique<scenario::Scenario>(config_.params);
-  for (const persist::RoundRecord& r : state.rounds) {
-    world->advance_to(r.date,
-                      make_vrp_installer(config_.incremental, nullptr));
+  for (const Date date : dates) {
+    world->advance_to(date, make_vrp_installer(config_.incremental, nullptr));
   }
 
   // Oracle check: the replayed relying-party output must equal the
@@ -277,29 +327,26 @@ bool IncrementalLongitudinalRunner::restore(
     }
   }
 
-  // All checks passed — install: the publisher adopts the replayed
-  // world as its build world (nothing published yet; the next round
-  // publishes as usual). Nothing below can fail in a way that breaks
-  // soundness: a cache shape mismatch just clears the cache, which only
-  // costs recomputation.
-  publisher_ = std::make_unique<snapshot::EpochPublisher>(std::move(world));
-  store_ = core::LongitudinalStore();
-  for (const persist::RoundRecord& r : state.rounds) {
-    std::vector<core::AsScore> scores;
-    scores.reserve(r.scores.size());
-    for (const auto& [asn, score] : r.scores) {
-      core::AsScore s;
-      s.asn = asn;
-      s.score = score;
-      scores.push_back(s);
-    }
-    store_.record(r.date, scores);
-    if (state.faulted) store_.record_health(r.date, r.health);
+  // All checks passed. Cut the archive back to the named frames: frames
+  // a crash left past them become debris that the next append drops.
+  auto writer =
+      analytics::RvlaWriter::reopen(archive_dir_, head, ref.crc, &error);
+  if (!writer.has_value()) {
+    util::log(LogLevel::kWarn, "checkpoint: " + error + " — cold start");
+    return false;
   }
+
+  // Install: the publisher adopts the replayed world as its build world
+  // (nothing published yet; the next round publishes as usual). Nothing
+  // below can fail in a way that breaks soundness: a cache shape
+  // mismatch just clears the cache, which only costs recomputation.
+  publisher_ = std::make_unique<snapshot::EpochPublisher>(std::move(world));
+  store_ = std::move(store);
+  archive_writer_ = std::move(writer);
+  archive_failed_ = false;
   vvps_ = state.vvps;
   tnodes_ = state.tnodes;
-  have_round_ = state.have_round;
-  history_ = state.rounds;
+  completed_rounds_ = dates.size();
   // run_round keeps views_digest_ equal to the latest round's digest
   // (reuse is only ever granted while it is unchanged), so the replayed
   // world's digest is exactly the one the restored lists were last
@@ -325,10 +372,6 @@ bool IncrementalLongitudinalRunner::restore(
   // The memo is not checkpointed: the next round re-hashes every pair.
   memo_ = FingerprintMemo();
   rounds_since_checkpoint_ = 0;
-  // Any open archive may describe rounds the checkpoint does not know
-  // about (or vice versa); the next round's first maybe_archive()
-  // rewrites it from the restored history, re-synchronizing the two.
-  archive_writer_.reset();
   return true;
 }
 
@@ -344,7 +387,9 @@ bool IncrementalLongitudinalRunner::resume_from_checkpoint() {
 }
 
 bool IncrementalLongitudinalRunner::write_checkpoint() {
-  if (config_.checkpoint_dir.empty()) return false;
+  // With the archive off, a checkpoint would pair this round's state
+  // with fewer frames than rounds — a resume from it would be unsound.
+  if (config_.checkpoint_dir.empty() || archive_failed_) return false;
   if (!checkpoint_writer_.has_value()) {
     checkpoint_writer_ = persist::CheckpointWriter::open(config_.checkpoint_dir);
     if (!checkpoint_writer_.has_value()) return false;
@@ -357,38 +402,33 @@ bool IncrementalLongitudinalRunner::write_checkpoint() {
   return true;
 }
 
-void IncrementalLongitudinalRunner::maybe_archive() {
-  if (config_.archive_dir.empty() || history_.empty()) return;
-  const bool faulted = world().fault_chain() != nullptr;
-  std::string error;
-  if (!archive_writer_.has_value()) {
-    // First append of this runner's life: rewrite the whole archive
-    // from the recorded history. A cold start begins fresh; a resumed
-    // run truncates rounds a crash left beyond the checkpoint; either
-    // way the archive ends up byte-identical to one grown round by
-    // round from the same history (encode is canonical).
-    std::vector<analytics::RvlaFrame> frames;
-    frames.reserve(history_.size());
-    for (const persist::RoundRecord& r : history_) {
-      frames.push_back(
-          analytics::make_frame(r.date, r.scores, faulted, r.health));
+void IncrementalLongitudinalRunner::finish_round(
+    Date date, std::span<const core::AsScore> scores,
+    const core::RoundHealth& health) {
+  store_.record(date, scores);
+  ++completed_rounds_;
+  if (!archive_dir_.empty() && !archive_failed_) {
+    std::vector<std::pair<core::Asn, double>> rows;
+    rows.reserve(scores.size());
+    for (const core::AsScore& s : scores) rows.emplace_back(s.asn, s.score);
+    const analytics::RvlaFrame frame = analytics::make_frame(
+        date, rows, world().fault_chain() != nullptr, health);
+    std::string error;
+    if (!archive_writer_.has_value()) {
+      // A cold start's first round begins a fresh archive.
+      archive_writer_ = analytics::RvlaWriter::create(
+          archive_dir_, std::span(&frame, 1), &error);
+    } else if (!archive_writer_->append(frame, &error)) {
+      archive_writer_.reset();
     }
-    archive_writer_ =
-        analytics::RvlaWriter::create(config_.archive_dir, frames, &error);
     if (!archive_writer_.has_value()) {
       util::log(LogLevel::kWarn,
-                "archive: " + error);
+                "archive: " + error +
+                    " — archive and checkpoints off for the rest of this run");
+      archive_failed_ = true;
     }
-    return;
   }
-  const persist::RoundRecord& last = history_.back();
-  if (!archive_writer_->append(
-          analytics::make_frame(last.date, last.scores, faulted,
-                                last.health),
-          &error)) {
-    util::log(LogLevel::kWarn, "archive: " + error);
-    archive_writer_.reset();
-  }
+  maybe_checkpoint();
 }
 
 void IncrementalLongitudinalRunner::maybe_checkpoint() {
@@ -439,7 +479,7 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   // of exactly zero.
   const bool incremental = config_.incremental;
   const std::uint64_t views_digest = world().effective_views_digest();
-  const bool can_reuse_discovery = incremental && have_round_ &&
+  const bool can_reuse_discovery = incremental && completed_rounds_ > 0 &&
                                    report.events == 0 &&
                                    report.touched_announced == 0 &&
                                    views_digest == views_digest_;
@@ -467,18 +507,7 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
     report.dirty_rows = v_count;
     report.executed_pairs = report.total_pairs;
     report.round = runner.run(vvps_, tnodes_);
-    store_.record(date, report.round.scores);
-    persist::RoundRecord record;
-    record.date = date;
-    record.health = report.health;
-    record.scores.reserve(report.round.scores.size());
-    for (const core::AsScore& s : report.round.scores) {
-      record.scores.emplace_back(s.asn, s.score);
-    }
-    history_.push_back(std::move(record));
-    have_round_ = true;
-    maybe_archive();
-    maybe_checkpoint();
+    finish_round(date, report.round.scores, report.health);
     return report;
   }
 
@@ -567,19 +596,8 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   round.inconclusive = count_inconclusive(round.observations);
   round.scores =
       core::aggregate_scores(round.observations, config_.rovista.scoring);
-  store_.record(date, round.scores);
-  persist::RoundRecord record;
-  record.date = date;
-  record.health = report.health;
-  record.scores.reserve(round.scores.size());
-  for (const core::AsScore& s : round.scores) {
-    record.scores.emplace_back(s.asn, s.score);
-  }
-  history_.push_back(std::move(record));
   report.round = std::move(round);
-  have_round_ = true;
-  maybe_archive();
-  maybe_checkpoint();
+  finish_round(date, report.round.scores, report.health);
   return report;
 }
 

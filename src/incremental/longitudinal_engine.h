@@ -23,7 +23,10 @@
 //      the fingerprint its cache entry holds, every other pair is
 //      re-hashed from the memoized words. The memo is committed with
 //      the cache stores and dropped by restore(),
-//   4. aggregates and records the scores into a LongitudinalStore.
+//   4. aggregates and records the scores into a LongitudinalStore,
+//   5. appends the round's frame to the series' RVLA archive — the one
+//      durable round history — and then checkpoints, so a checkpoint
+//      only ever names frames the archive has committed.
 //
 // Contract: every round's MeasurementRound is bit-identical to a full
 // from-scratch recompute at that date, for any thread count. Whenever a
@@ -37,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,9 +71,11 @@ struct IncrementalConfig {
   /// completed rounds, and the destructor writes a final one if rounds
   /// ran since the last write. Writes commit in place into the
   /// directory's two slots through one CheckpointWriter the runner holds
-  /// for its life. resume_from_checkpoint() restores from the same
-  /// directory. `checkpoint_every` <= 0 writes no periodic checkpoint:
-  /// the caller calls write_checkpoint() itself.
+  /// for its life. A checkpoint points into the series' archive (see
+  /// `archive_dir`) instead of holding the rounds, so its size does not
+  /// grow with the series. resume_from_checkpoint() restores from the
+  /// same directory. `checkpoint_every` <= 0 writes no periodic
+  /// checkpoint: the caller calls write_checkpoint() itself.
   std::string checkpoint_dir;
   int checkpoint_every = 1;
   /// Embedder-chosen guard stored in the checkpoint and compared on
@@ -78,15 +84,16 @@ struct IncrementalConfig {
   /// a differently-shaped series). Zero means "no extra guard".
   std::uint64_t checkpoint_user_tag = 0;
 
-  /// Non-empty → every completed round durably appends one frame to an
-  /// RVLA archive (docs/FORMATS.md §5) in this directory. The first
-  /// append of a runner's life rewrites the archive from its recorded
-  /// history — so cold starts begin a fresh archive and resumed runs
-  /// truncate whatever rounds a crash left uncommitted — and each
-  /// subsequent round is an O(frame) append on the writer's held
-  /// descriptors: the frame is fdatasynced, then the head is committed
-  /// in place into its slot pair. `rovista analyze` and
-  /// ScoreFeed::seed_from_archive consume the result.
+  /// Where every completed round durably appends one frame to the
+  /// series' RVLA archive (docs/FORMATS.md §5), the series' only round
+  /// history. Empty → checkpoint_dir (the two formats' file names do
+  /// not collide); both empty → no archive. A cold start's first round
+  /// creates a fresh archive; restore() continues the existing one. Each
+  /// round is an O(frame) append on the writer's held descriptors: the
+  /// frame is fdatasynced, then the head is committed in place into its
+  /// slot pair. An append that fails turns the archive off for the
+  /// runner's life, and with it every later checkpoint. `rovista
+  /// analyze` and ScoreFeed::seed_from_archive consume the archive.
   std::string archive_dir;
 };
 
@@ -138,13 +145,15 @@ class IncrementalLongitudinalRunner {
   //
   // Resume contract: a runner restored from the checkpoint written after
   // round k produces, for every subsequent round, scores / store indexes
-  // / published CSVs byte-identical to an uninterrupted runner, at any
-  // thread count. The tracking world is not serialized: restore()
-  // *replays* Scenario::advance_to over the recorded round dates with
-  // the exact install path run_round uses (deterministic, measurement-
-  // free, so far cheaper than re-running rounds), then oracle-checks the
-  // replayed relying-party output against the stored VRP snapshot and
-  // refuses to resume on any mismatch.
+  // / published CSVs / archive bytes identical to an uninterrupted
+  // runner, at any thread count. Neither the tracking world nor the
+  // store is serialized: restore() streams the k archive frames the
+  // checkpoint names, rebuilding the store from them and *replaying*
+  // Scenario::advance_to over their dates with the exact install path
+  // run_round uses (deterministic, measurement-free, so far cheaper than
+  // re-running rounds), then oracle-checks the replayed relying-party
+  // output against the stored VRP snapshot and refuses to resume on any
+  // mismatch.
 
   /// Digest over every config field that determines measurement output
   /// (num_threads and the checkpoint knobs excluded — resuming at a
@@ -155,10 +164,14 @@ class IncrementalLongitudinalRunner {
   /// Snapshot the runner's complete resumable state.
   persist::CheckpointState checkpoint_state() const;
 
-  /// Adopt `state`: verify digests, replay the tracking world, rebuild
-  /// the store from the recorded rounds, and restore cache + discovery
-  /// lists. On any refusal the runner is left untouched (still a valid
-  /// cold start) and false is returned, with the reason logged.
+  /// Adopt `state`: verify digests, stream the archive frames it names
+  /// from archive_dir() (refused when the archive is missing, holds
+  /// fewer frames, or another length or CRC), rebuild the store and
+  /// replay the tracking world from them, and restore cache + discovery
+  /// lists. Only once every check has passed is the archive cut back to
+  /// exactly those frames. On any refusal the runner and the archive
+  /// are left untouched (still a valid cold start) and false is
+  /// returned, with the reason logged.
   bool restore(const persist::CheckpointState& state);
 
   /// Load the best checkpoint from config().checkpoint_dir and
@@ -167,11 +180,15 @@ class IncrementalLongitudinalRunner {
 
   /// Write a checkpoint to config().checkpoint_dir now, through the
   /// runner's held CheckpointWriter (opened by the first call, reopened
-  /// after a failed write).
+  /// after a failed write). Refused once the archive is off.
   bool write_checkpoint();
 
+  /// The archive directory in effect: config().archive_dir, else
+  /// config().checkpoint_dir; empty when the runner keeps no archive.
+  const std::string& archive_dir() const noexcept { return archive_dir_; }
+
   /// Rounds recorded so far (monotone; restored by resume).
-  std::size_t completed_rounds() const noexcept { return history_.size(); }
+  std::size_t completed_rounds() const noexcept { return completed_rounds_; }
 
   /// Inputs of the most recent round (empty before the first).
   const std::vector<scan::Vvp>& vvps() const noexcept { return vvps_; }
@@ -198,11 +215,11 @@ class IncrementalLongitudinalRunner {
   snapshot::EpochPublisher& publisher() noexcept { return *publisher_; }
 
  private:
+  /// Record the round's scores into the store, append its frame to the
+  /// archive, then checkpoint if one is due.
+  void finish_round(Date date, std::span<const core::AsScore> scores,
+                    const core::RoundHealth& health);
   void maybe_checkpoint();
-  /// Mirror the round just pushed onto history_ into the RVLA archive
-  /// (no-op without config_.archive_dir; failures log and disable the
-  /// archive rather than fail the round).
-  void maybe_archive();
 
   IncrementalConfig config_;
   // Owns the long-lived tracking world (its private build world) and
@@ -218,22 +235,23 @@ class IncrementalLongitudinalRunner {
   core::LongitudinalStore store_;
   std::vector<scan::Vvp> vvps_;
   std::vector<scan::Tnode> tnodes_;
-  bool have_round_ = false;
+  std::size_t completed_rounds_ = 0;
   // Effective-views digest of the round vvps_/tnodes_ were acquired on.
   // Under fault injection a window opening or stale data expiring
   // changes per-AS ROV behaviour with zero VRP delta, so discovery
   // reuse must also demand the digest be unchanged. Always 0 (and thus
   // trivially unchanged) in fault-free worlds.
   std::uint64_t views_digest_ = 0;
-  // The exact LongitudinalStore::record() history: checkpoint payload
-  // (store replay log) and tracking-world replay recipe in one.
-  std::vector<persist::RoundRecord> history_;
   std::size_t rounds_since_checkpoint_ = 0;
   std::optional<persist::CheckpointWriter> checkpoint_writer_;
-  // RVLA appender, opened lazily by the first maybe_archive() so the
-  // initial rewrite sees any restored history; restore() drops it to
-  // force a fresh rewrite. nullopt also after a logged archive failure.
+  std::string archive_dir_;
+  // RVLA appender: created by a cold start's first round, or adopted by
+  // restore() at the checkpoint's frame count.
   std::optional<analytics::RvlaWriter> archive_writer_;
+  // Set by a failed append. The archive stays off — a fresh create
+  // would drop the frames already committed — and so do checkpoints,
+  // which would pair later state with fewer frames.
+  bool archive_failed_ = false;
 };
 
 }  // namespace rovista::incremental

@@ -19,12 +19,8 @@ constexpr std::size_t kTableEntrySize = 24;
 constexpr std::uint32_t kSectionIds[] = {
     kSectionMeta,       kSectionCursor, kSectionDiscovery, kSectionScoreCache,
     kSectionVrpSnapshot, kSectionFaults};
-constexpr std::size_t kSectionCountV1 = 5;  // through VRPSNAPSHOT
-constexpr std::size_t kSectionCountV2 = std::size(kSectionIds);
-
-std::size_t section_count_for(std::uint32_t version) {
-  return version >= kFormatVersionFaults ? kSectionCountV2 : kSectionCountV1;
-}
+constexpr std::size_t kSectionCountPlain = 5;  // through VRPSNAPSHOT
+constexpr std::size_t kSectionCountFaulted = std::size(kSectionIds);
 
 bool fail(std::string* error, const char* msg) {
   if (error != nullptr) *error = msg;
@@ -38,30 +34,14 @@ std::vector<std::uint8_t> encode_meta(const CheckpointState& s) {
   w.u64(s.config_digest);
   w.u64(s.user_tag);
   w.u8(s.incremental ? 1 : 0);
-  w.u64(s.rounds.size());  // cross-checked against CURSOR on load
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_cursor(const CheckpointState& s,
-                                        std::uint32_t version) {
+std::vector<std::uint8_t> encode_cursor(const CheckpointState& s) {
   ByteWriter w;
-  w.u8(s.have_round ? 1 : 0);
-  w.u64(s.rounds.size());
-  for (const RoundRecord& r : s.rounds) {
-    w.i64(r.date.days_since_epoch());
-    w.u64(r.scores.size());
-    for (const auto& [asn, score] : r.scores) {
-      w.u32(asn);
-      w.f64(score);
-    }
-    if (version >= kFormatVersionFaults) {
-      w.u64(r.health.stale_ases);
-      w.u64(r.health.expired_ases);
-      w.u64(r.health.diverged_ases);
-      w.i64(r.health.max_staleness_days);
-      w.u64(r.health.error_reports);
-    }
-  }
+  w.u64(s.archive.frames);
+  w.u64(s.archive.length);
+  w.u32(s.archive.crc);
   return w.take();
 }
 
@@ -133,68 +113,20 @@ std::vector<std::uint8_t> encode_faults(const CheckpointState& s) {
 // anything is reserved, so a corrupt length cannot trigger a huge
 // allocation, and every section must consume its payload exactly.
 
-// decode_meta hands the META round count to the caller for the CURSOR
-// cross-check; a thread-local slot keeps the decoder signatures uniform
-// (decode is single-threaded per call — the loader owns it).
-thread_local std::uint64_t meta_round_count_out = 0;
-
 bool decode_meta(ByteReader& r, CheckpointState& s, std::string* error) {
   std::uint8_t incremental = 0;
-  std::uint64_t round_count = 0;
-  if (!r.u64(s.config_digest) || !r.u64(s.user_tag) || !r.u8(incremental) ||
-      !r.u64(round_count)) {
+  if (!r.u64(s.config_digest) || !r.u64(s.user_tag) || !r.u8(incremental)) {
     return fail(error, "META: truncated");
   }
   if (incremental > 1) return fail(error, "META: bad incremental flag");
   s.incremental = incremental == 1;
-  meta_round_count_out = round_count;
   return true;
 }
 
-bool decode_cursor(ByteReader& r, CheckpointState& s, std::uint32_t version,
-                   std::string* error) {
-  std::uint8_t have_round = 0;
-  std::uint64_t round_count = 0;
-  if (!r.u8(have_round) || !r.u64(round_count)) {
+bool decode_cursor(ByteReader& r, CheckpointState& s, std::string* error) {
+  if (!r.u64(s.archive.frames) || !r.u64(s.archive.length) ||
+      !r.u32(s.archive.crc)) {
     return fail(error, "CURSOR: truncated");
-  }
-  if (have_round > 1) return fail(error, "CURSOR: bad have_round flag");
-  s.have_round = have_round == 1;
-  // Each round is at least 16 bytes (date + score count).
-  if (round_count > r.remaining() / 16) {
-    return fail(error, "CURSOR: round count exceeds payload");
-  }
-  s.rounds.reserve(round_count);
-  for (std::uint64_t i = 0; i < round_count; ++i) {
-    RoundRecord rec;
-    std::int64_t days = 0;
-    std::uint64_t score_count = 0;
-    if (!r.i64(days) || !r.u64(score_count)) {
-      return fail(error, "CURSOR: truncated round");
-    }
-    rec.date = util::Date(days);
-    if (score_count > r.remaining() / 12) {  // u32 asn + f64 score
-      return fail(error, "CURSOR: score count exceeds payload");
-    }
-    rec.scores.reserve(score_count);
-    for (std::uint64_t k = 0; k < score_count; ++k) {
-      std::uint32_t asn = 0;
-      double score = 0.0;
-      if (!r.u32(asn) || !r.f64(score)) {
-        return fail(error, "CURSOR: truncated score");
-      }
-      rec.scores.emplace_back(asn, score);
-    }
-    if (version >= kFormatVersionFaults) {
-      std::int64_t staleness = 0;
-      if (!r.u64(rec.health.stale_ases) || !r.u64(rec.health.expired_ases) ||
-          !r.u64(rec.health.diverged_ases) || !r.i64(staleness) ||
-          !r.u64(rec.health.error_reports)) {
-        return fail(error, "CURSOR: truncated round health");
-      }
-      rec.health.max_staleness_days = staleness;
-    }
-    s.rounds.push_back(std::move(rec));
   }
   return true;
 }
@@ -333,7 +265,7 @@ bool decode_vrps(ByteReader& r, CheckpointState& s, std::string* error) {
 
 bool decode_faults(ByteReader& r, CheckpointState& s, std::string* error) {
   if (!r.u64(s.fault_digest)) return fail(error, "FAULTS: truncated");
-  s.faulted = true;  // the section only exists in faulted containers
+  s.faulted = true;  // the section only exists in faulted checkpoints
   return true;
 }
 
@@ -358,20 +290,17 @@ const char* section_name(std::uint32_t id) noexcept {
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const CheckpointState& state) {
-  // Lowest version able to represent the state: fault-free series keep
-  // writing version 1, byte-identical to pre-fault builds.
-  const std::uint32_t version =
-      state.faulted ? kFormatVersionFaults : kFormatVersion;
-  const std::size_t section_count = section_count_for(version);
+  const std::size_t section_count =
+      state.faulted ? kSectionCountFaulted : kSectionCountPlain;
 
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.reserve(section_count);
   payloads.push_back(encode_meta(state));
-  payloads.push_back(encode_cursor(state, version));
+  payloads.push_back(encode_cursor(state));
   payloads.push_back(encode_discovery(state));
   payloads.push_back(encode_score_cache(state));
   payloads.push_back(encode_vrps(state));
-  if (version >= kFormatVersionFaults) payloads.push_back(encode_faults(state));
+  if (state.faulted) payloads.push_back(encode_faults(state));
 
   ByteWriter table;
   std::uint64_t offset = kHeaderSize + section_count * kTableEntrySize;
@@ -385,7 +314,7 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointState& state) {
 
   ByteWriter out;
   out.bytes(kMagic);
-  out.u32(version);
+  out.u32(kFormatVersion);
   out.u32(static_cast<std::uint32_t>(section_count));
   out.u32(crc32(table.data()));
   out.bytes(table.data());
@@ -411,14 +340,16 @@ std::optional<CheckpointState> decode_checkpoint(
   header.u32(version);
   header.u32(section_count);
   header.u32(table_crc);
-  if (version != kFormatVersion && version != kFormatVersionFaults) {
-    return reject("unsupported format version (bump → cold start)");
+  if (version != kFormatVersion) {
+    return reject(
+        "unsupported format version: not resumable by this build, which "
+        "reads version 3 only (cold start)");
   }
-  const std::size_t expected_sections = section_count_for(version);
-  if (section_count != expected_sections) {
+  if (section_count != kSectionCountPlain &&
+      section_count != kSectionCountFaulted) {
     return reject("unexpected section count");
   }
-  const std::size_t table_size = expected_sections * kTableEntrySize;
+  const std::size_t table_size = section_count * kTableEntrySize;
   if (bytes.size() < kHeaderSize + table_size) {
     return reject("file truncated inside section table");
   }
@@ -430,7 +361,7 @@ std::optional<CheckpointState> decode_checkpoint(
   ByteReader table(table_bytes);
   CheckpointState state;
   std::uint64_t expected_offset = kHeaderSize + table_size;
-  for (std::size_t i = 0; i < expected_sections; ++i) {
+  for (std::size_t i = 0; i < section_count; ++i) {
     std::uint32_t id = 0;
     std::uint32_t payload_crc = 0;
     std::uint64_t offset = 0;
@@ -470,7 +401,7 @@ std::optional<CheckpointState> decode_checkpoint(
         ok = decode_meta(r, state, error);
         break;
       case kSectionCursor:
-        ok = decode_cursor(r, state, version, error);
+        ok = decode_cursor(r, state, error);
         break;
       case kSectionDiscovery:
         ok = decode_discovery(r, state, error);
@@ -493,9 +424,6 @@ std::optional<CheckpointState> decode_checkpoint(
   if (expected_offset != bytes.size()) {
     return reject("trailing bytes after last section");
   }
-  if (meta_round_count_out != state.rounds.size()) {
-    return reject("META/CURSOR round count mismatch");
-  }
   if (state.cache_entries.size() !=
       state.cache_vvp_addrs.size() * state.cache_tnode_addrs.size()) {
     return reject("SCORECACHE matrix shape mismatch");
@@ -514,8 +442,7 @@ std::optional<CheckpointInspection> inspect_checkpoint(
   header.u32(out.format_version);
   header.u32(out.section_count);
   header.u32(table_crc);
-  out.version_supported = out.format_version == kFormatVersion ||
-                          out.format_version == kFormatVersionFaults;
+  out.version_supported = out.format_version == kFormatVersion;
 
   // Walk whatever table fits in the file, even if counts look wrong —
   // inspect is a diagnosis tool, not a loader.

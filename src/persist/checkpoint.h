@@ -2,27 +2,26 @@
 //
 // A checkpoint captures everything `IncrementalLongitudinalRunner` needs
 // to continue a series after a process death as if it had never stopped:
-// the exact round history (dates + recorded scores — both the
-// LongitudinalStore replay log and the tracking-world replay recipe),
-// the discovery lists, the reachability-keyed ScoreCache, and the last
-// relying-party VRP snapshot used as an oracle check that world replay
-// reconverged to the same control-plane state.
+// a fixed-size reference to the committed prefix of the series' RVLA
+// archive (docs/FORMATS.md §5), which is the series' only round history,
+// plus the discovery lists, the reachability-keyed ScoreCache, and the
+// last relying-party VRP snapshot used as an oracle check that world
+// replay reconverged to the same control-plane state. The checkpoint
+// does not grow with the round count.
 //
 // On disk this is the versioned, length-prefixed, CRC-checked binary
-// container specified byte-by-byte in docs/FORMATS.md ("RVCP" format).
-// The writer emits the lowest version able to represent the state:
-// version 1 for fault-free series (bit-identical to pre-fault builds),
-// version 2 — CURSOR rounds extended with per-round distribution-chain
-// health, plus a FAULTS section — only when the series runs under fault
-// injection. Encoding is canonical — the same state always produces the
-// same bytes — so decode→re-encode round-trips bit-exactly, which the
-// tier-1 property tests pin.
+// container specified byte-by-byte in docs/FORMATS.md ("RVCP" format),
+// version 3; a faulted series adds a FAULTS section. Encoding is
+// canonical — the same state always produces the same bytes — so
+// decode→re-encode round-trips bit-exactly, which the tier-1 property
+// tests pin.
 //
 // The decoder trusts nothing: magic, version, section-table CRC,
 // per-section CRCs, section bounds, element counts and enum ranges are
 // all validated, and any violation yields std::nullopt (with a
-// diagnostic), never UB. A version bump is a clean refusal, not a parse
-// attempt — compatibility rules live in docs/FORMATS.md.
+// diagnostic), never UB. Any other version — the version 1 and 2
+// images of earlier builds included — is a clean refusal, not a parse
+// attempt; compatibility rules live in docs/FORMATS.md.
 #pragma once
 
 #include <array>
@@ -32,23 +31,18 @@
 #include <string>
 #include <vector>
 
-#include "core/longitudinal.h"
 #include "core/scoring.h"
 #include "rpki/roa.h"
 #include "scan/tnode_discovery.h"
 #include "scan/vvp_discovery.h"
-#include "util/date.h"
 
 namespace rovista::persist {
 
 inline constexpr std::array<std::uint8_t, 4> kMagic = {'R', 'V', 'C', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 1;
-/// Version written when the series carries fault-injection state (the
-/// FAULTS section plus per-round health in CURSOR).
-inline constexpr std::uint32_t kFormatVersionFaults = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section identifiers (table order is fixed: ascending ids, each
-/// exactly once; FAULTS appears only in version-2 containers).
+/// exactly once; FAULTS appears exactly when the series is faulted).
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,
   kSectionCursor = 2,
@@ -61,17 +55,16 @@ enum SectionId : std::uint32_t {
 /// Human-readable name for `checkpoint inspect` ("?" for unknown ids).
 const char* section_name(std::uint32_t id) noexcept;
 
-/// One LongitudinalStore::record() call, verbatim: re-recording these in
-/// sequence rebuilds every query index bit-identically (record order is
-/// observable through the store's per-date bookkeeping).
-struct RoundRecord {
-  util::Date date;
-  std::vector<std::pair<core::Asn, double>> scores;
-  /// Distribution-chain health of the round; all zeros in fault-free
-  /// series (serialized only by version-2 containers).
-  core::RoundHealth health;
+/// The committed prefix of the series' RVLA archive that the rest of
+/// the checkpoint describes: one frame per completed round. Plain
+/// integers — persist sits below analytics; the engine checks them
+/// against the archive on resume.
+struct ArchiveRef {
+  std::uint64_t frames = 0;  // committed frame count = rounds completed
+  std::uint64_t length = 0;  // committed length of archive.rvla, bytes
+  std::uint32_t crc = 0;     // CRC-32 of archive.rvla's first `length` bytes
 
-  bool operator==(const RoundRecord&) const = default;
+  bool operator==(const ArchiveRef&) const = default;
 };
 
 /// One ScoreCache slot (mirrors incremental::CacheEntry without
@@ -87,9 +80,9 @@ struct CheckpointState {
   std::uint64_t user_tag = 0;       // embedder-chosen (CLI: series args)
   bool incremental = true;
 
-  // CURSOR — the round history (store replay log + world replay dates).
-  bool have_round = false;
-  std::vector<RoundRecord> rounds;
+  // CURSOR — where the round history lives: the archive prefix whose
+  // frames rebuild the store and give the world replay its dates.
+  ArchiveRef archive;
 
   // DISCOVERY — the vVP/tNode lists carried between rounds.
   std::vector<scan::Vvp> vvps;
@@ -104,10 +97,10 @@ struct CheckpointState {
   // completed round (the replay oracle).
   std::vector<rpki::Vrp> vrps;
 
-  // FAULTS (version 2 only) — fault-injection guard. `faulted` selects
-  // the container version on write; `fault_digest` is the
-  // FaultSchedule::digest() of the writing world, checked on resume so
-  // a checkpoint cannot silently resume under a different fault world.
+  // FAULTS — fault-injection guard, present iff `faulted`.
+  // `fault_digest` is the FaultSchedule::digest() of the writing world,
+  // checked on resume so a checkpoint cannot silently resume under a
+  // different fault world.
   bool faulted = false;
   std::uint64_t fault_digest = 0;
 };

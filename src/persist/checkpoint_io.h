@@ -10,7 +10,8 @@
 // take the valid slot with the larger sequence number and fall back to
 // the other, logging every rejection; only when both fail does the
 // caller cold-start. Unslotted RVCP files left by older builds (a bare
-// checkpoint.bin / checkpoint.bin.1) still load, below any slot image.
+// checkpoint.bin / checkpoint.bin.1) rank below any slot image; they
+// hold format version 1 or 2, which the decoder refuses.
 #pragma once
 
 #include <optional>

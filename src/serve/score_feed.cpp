@@ -70,37 +70,6 @@ std::shared_ptr<const RoundSnapshot> ScoreFeed::publish(
   return snapshot;
 }
 
-void ScoreFeed::seed_from_store(const core::LongitudinalStore& store) {
-  const std::vector<Date> dates = store.dates();
-  if (dates.empty()) return;
-
-  auto snapshot = std::make_shared<RoundSnapshot>();
-  auto trajectory = std::make_shared<RoundSnapshot::Trajectory>();
-  for (const Asn asn : store.ases()) {
-    for (const auto& [date, score] : store.series(asn)) {
-      (*trajectory)[asn].push_back(
-          TrajectoryPoint{date.days_since_epoch(), score});
-    }
-  }
-  const Date last = dates.back();
-  for (const Asn asn : store.ases()) {
-    const auto score = store.score_on(asn, last);
-    if (!score.has_value()) continue;
-    core::AsScore s;
-    s.asn = asn;
-    s.score = *score;
-    snapshot->scores.push_back(s);  // store.ases() is ascending: sorted
-    snapshot->score_strs.push_back(util::fmt_double(*score, 2));
-  }
-  snapshot->date = last;
-  snapshot->trajectory = std::move(trajectory);
-  snapshot->rounds_completed = dates.size();
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  snapshot->sequence = ++sequence_;
-  current_ = std::move(snapshot);
-}
-
 bool ScoreFeed::seed_from_archive(const std::string& directory) {
   std::string error;
   auto cursor = analytics::RvlaCursor::open(directory, &error);
@@ -112,8 +81,7 @@ bool ScoreFeed::seed_from_archive(const std::string& directory) {
 
   auto trajectory = std::make_shared<RoundSnapshot::Trajectory>();
   // Frames are date-ordered, so the running "current date group" ends
-  // up holding exactly the final date's merged scores — what
-  // seed_from_store reads back with score_on(asn, last).
+  // up holding exactly the final date's merged scores.
   std::map<Asn, double> last_rows;
   std::optional<Date> group_date;
   std::uint64_t date_count = 0;

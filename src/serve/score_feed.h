@@ -16,8 +16,8 @@
 //   * an EpochRef pinning the frozen EpochWorld the round measured on,
 //     so reachability queries traceroute the exact world that produced
 //     the scores (grace period = pin lifetime, as everywhere else in
-//     src/snapshot). The ref may be empty for rounds restored from an
-//     RVCP checkpoint — reachability then answers NO_DATA until the
+//     src/snapshot). The ref is empty for a warm-start snapshot seeded
+//     from an archive — reachability then answers NO_DATA until the
 //     next live round publishes.
 //
 // Torn-read safety: a snapshot is fully constructed before the swap,
@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "core/longitudinal.h"
 #include "core/scoring.h"
 #include "serve/rqp.h"
 #include "snapshot/epoch_world.h"
@@ -76,17 +75,13 @@ class ScoreFeed {
                                                std::span<const core::AsScore> scores,
                                                snapshot::EpochRef epoch);
 
-  /// Warm start: fold a restored LongitudinalStore (RVCP --resume) into
-  /// one snapshot carrying the full trajectory and the latest round's
-  /// scores. Per-AS counters are zero — exactly what the published CSV
-  /// records for them — and the epoch is empty until the next live
-  /// round. No-op on an empty store.
-  void seed_from_store(const core::LongitudinalStore& store);
-
-  /// seed_from_store's RVLA sibling: stream an archive directory
-  /// (docs/FORMATS.md §5) into the same warm-start snapshot — full
-  /// per-AS trajectory, the final date's scores, rounds_completed =
-  /// distinct measurement dates — without materializing a store. False
+  /// Warm start: stream an archive directory (docs/FORMATS.md §5) —
+  /// a previous run's, or a resumed runner's, which holds exactly the
+  /// restored rounds — into one snapshot carrying the full per-AS
+  /// trajectory, the final date's scores and rounds_completed =
+  /// distinct measurement dates, without materializing a store. Per-AS
+  /// counters are zero — exactly what the published CSV records for
+  /// them — and the epoch is empty until the next live round. False
   /// (logged) when the archive is missing, damaged or empty.
   bool seed_from_archive(const std::string& directory);
 

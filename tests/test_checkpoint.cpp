@@ -8,15 +8,21 @@
 //    byte, which covers every section boundary), every single-byte
 //    corruption is rejected (header, table and payload CRCs leave no
 //    unprotected byte), per-section CRC diagnostics name the section,
+//    and the version 1/2 images of earlier builds are refused,
 //  - crash-safe files: write/load through the two checkpoint slots,
 //    fallback to the older slot when the newest is corrupt,
 //    corrupted-everything → logged nullopt (the crash-window battery of
 //    the slot primitive itself lives in tests/test_slot_file.cpp),
-//  - engine resume: a runner restored from the round-k checkpoint
-//    finishes the series bit-identically to an uninterrupted run at
-//    1/2/4/8 threads (scores, observations, and published CSV bytes),
-//    and every refusal path (digest / tag / mode mismatch, corrupt
-//    file) degrades to a logged cold start.
+//  - engine resume: a runner restored from the round-k checkpoint and
+//    its archive finishes the series bit-identically to an
+//    uninterrupted run at 1/2/4/8 threads (scores, observations,
+//    published CSV bytes and archive bytes), an archive holding frames
+//    past the checkpoint is cut back to it, the checkpoint stays the
+//    same size as rounds accumulate, and every refusal path (digest /
+//    tag / mode mismatch, corrupt file, archive missing, short or of
+//    another series, archive that cannot be created) degrades to a
+//    logged cold start that touches neither the runner nor the
+//    archive.
 //
 // The container and corruption cases run under ASan+UBSan in
 // scripts/tier1.sh — the loader must stay clean on attacker-grade input.
@@ -32,8 +38,11 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "analytics/queries.h"
+#include "analytics/rvla_io.h"
 #include "core/publish.h"
 #include "incremental/longitudinal_engine.h"
 #include "incremental/score_cache.h"
@@ -231,15 +240,7 @@ persist::CheckpointState sample_state() {
   s.config_digest = 0x1122334455667788ull;
   s.user_tag = 0x99AABBCCDDEEFF00ull;
   s.incremental = true;
-  s.have_round = true;
-
-  persist::RoundRecord r1;
-  r1.date = util::Date::from_ymd(2022, 3, 1);
-  r1.scores = {{65001u, 100.0}, {65002u, 37.5}};
-  persist::RoundRecord r2;
-  r2.date = util::Date::from_ymd(2022, 3, 21);
-  r2.scores = {{65001u, 50.0}};
-  s.rounds = {r1, r2};
+  s.archive = {2, 546, 0x39854C05u};
 
   scan::Vvp v;
   v.address = net::Ipv4Address(0x0A000001);
@@ -277,8 +278,7 @@ void expect_states_equal(const persist::CheckpointState& a,
   EXPECT_EQ(a.config_digest, b.config_digest);
   EXPECT_EQ(a.user_tag, b.user_tag);
   EXPECT_EQ(a.incremental, b.incremental);
-  EXPECT_EQ(a.have_round, b.have_round);
-  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.archive, b.archive);
   ASSERT_EQ(a.vvps.size(), b.vvps.size());
   for (std::size_t i = 0; i < a.vvps.size(); ++i) {
     EXPECT_EQ(a.vvps[i].address.value(), b.vvps[i].address.value());
@@ -304,15 +304,26 @@ void expect_states_equal(const persist::CheckpointState& a,
               b.cache_entries[i]->observation.verdict);
   }
   EXPECT_EQ(a.vrps, b.vrps);
+  EXPECT_EQ(a.faulted, b.faulted);
+  EXPECT_EQ(a.fault_digest, b.fault_digest);
 }
 
 TEST(Checkpoint, EncodeDecodeReencodeIsByteIdentical) {
-  const persist::CheckpointState s = sample_state();
-  const auto bytes = persist::encode_checkpoint(s);
-  const auto decoded = persist::decode_checkpoint(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  expect_states_equal(s, *decoded);
-  EXPECT_EQ(persist::encode_checkpoint(*decoded), bytes);  // canonical
+  persist::CheckpointState s = sample_state();
+  for (const bool faulted : {false, true}) {
+    s.faulted = faulted;
+    s.fault_digest = faulted ? 0xFA17FA17FA17FA17ull : 0;
+    const auto bytes = persist::encode_checkpoint(s);
+    const auto decoded = persist::decode_checkpoint(bytes);
+    ASSERT_TRUE(decoded.has_value());
+    expect_states_equal(s, *decoded);
+    EXPECT_EQ(persist::encode_checkpoint(*decoded), bytes);  // canonical
+    // One version for both; FAULTS is present iff the series is faulted.
+    const auto info = persist::inspect_checkpoint(bytes);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->format_version, persist::kFormatVersion);
+    EXPECT_EQ(info->sections.size(), faulted ? 6u : 5u);
+  }
 }
 
 TEST(Checkpoint, EmptyStateRoundTrips) {
@@ -333,10 +344,31 @@ TEST(Checkpoint, RejectsBadMagicVersionAndTrailingBytes) {
   EXPECT_FALSE(persist::decode_checkpoint(bad, &error).has_value());
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 
-  bad = bytes;
-  bad[4] = 0xFF;  // format version
-  EXPECT_FALSE(persist::decode_checkpoint(bad, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // Every other format version, the retired 1 and 2 included.
+  for (const std::uint8_t version : {0xFF, 1, 2}) {
+    bad = bytes;
+    bad[4] = version;
+    EXPECT_FALSE(persist::decode_checkpoint(bad, &error).has_value());
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
+  // Real images written by a version 1/2 build: refused, yet inspect
+  // still walks their header and section table.
+  for (const auto& [name, version, sections] :
+       {std::tuple{"checkpoint_v1.rvcp", 1u, 5u},
+        std::tuple{"checkpoint_v2.rvcp", 2u, 6u}}) {
+    const auto legacy =
+        read_bytes(fs::path(ROVISTA_TEST_DATA_DIR) / name);
+    ASSERT_FALSE(legacy.empty()) << name;
+    EXPECT_FALSE(persist::decode_checkpoint(legacy, &error).has_value());
+    EXPECT_NE(error.find("not resumable"), std::string::npos) << error;
+    const auto info = persist::inspect_checkpoint(legacy);
+    ASSERT_TRUE(info.has_value()) << name;
+    EXPECT_EQ(info->format_version, version) << name;
+    EXPECT_FALSE(info->version_supported) << name;
+    EXPECT_TRUE(info->table_crc_ok) << name;
+    EXPECT_EQ(info->sections.size(), sections) << name;
+    EXPECT_FALSE(info->decodes) << name;
+  }
 
   bad = bytes;
   bad.push_back(0);
@@ -547,20 +579,41 @@ std::map<std::string, std::string> read_dir(const fs::path& dir) {
   return files;
 }
 
+/// A private copy of the archive in `from`, in a fresh directory.
+void copy_archive(const fs::path& from, const TempDir& to) {
+  fs::copy(from, to.path, fs::copy_options::recursive);
+}
+
+/// Every frame of the archive in `dir`, as the cursor yields them.
+std::vector<analytics::RvlaFrame> archive_frames(const fs::path& dir) {
+  std::vector<analytics::RvlaFrame> frames;
+  std::string error;
+  auto cursor = analytics::RvlaCursor::open(dir.string(), &error);
+  EXPECT_TRUE(cursor.has_value()) << error;
+  if (!cursor.has_value()) return frames;
+  while (auto frame = cursor->next()) frames.push_back(std::move(*frame));
+  EXPECT_TRUE(cursor->done()) << cursor->error();
+  return frames;
+}
+
 class CheckpointResume : public ::testing::Test {
  protected:
-  // One uninterrupted 3-round series and one 2-round checkpoint state,
-  // shared by the per-thread-count resume cases.
+  // One uninterrupted 3-round series and one 2-round checkpoint state
+  // with its archive, shared by the resume cases.
   static void SetUpTestSuite() {
-    uninterrupted_ =
-        new incremental::IncrementalLongitudinalRunner(engine_config(0));
+    full_archive_ = new TempDir;
+    partial_archive_ = new TempDir;
+    incremental::IncrementalConfig config = engine_config(0);
+    config.archive_dir = full_archive_->path.string();
+    uninterrupted_ = new incremental::IncrementalLongitudinalRunner(config);
     final_rounds_ = new std::vector<incremental::RoundReport>();
-    for (const util::Date date : series_dates(uninterrupted_->config().params)) {
+    for (const util::Date date : series_dates(config.params)) {
       final_rounds_->push_back(uninterrupted_->run_round(date));
     }
 
-    incremental::IncrementalLongitudinalRunner partial(engine_config(0));
-    const auto dates = series_dates(partial.config().params);
+    config.archive_dir = partial_archive_->path.string();
+    incremental::IncrementalLongitudinalRunner partial(config);
+    const auto dates = series_dates(config.params);
     partial.run_round(dates[0]);
     partial.run_round(dates[1]);
     after_two_ = new persist::CheckpointState(partial.checkpoint_state());
@@ -570,40 +623,64 @@ class CheckpointResume : public ::testing::Test {
     delete after_two_;
     delete final_rounds_;
     delete uninterrupted_;
+    delete partial_archive_;
+    delete full_archive_;
     after_two_ = nullptr;
     final_rounds_ = nullptr;
     uninterrupted_ = nullptr;
+    partial_archive_ = nullptr;
+    full_archive_ = nullptr;
   }
 
-  static void expect_resume_matches(int num_threads) {
-    incremental::IncrementalLongitudinalRunner resumed(
-        engine_config(num_threads));
-    ASSERT_TRUE(resumed.restore(*after_two_));
-    EXPECT_EQ(resumed.completed_rounds(), 2u);
+  /// Restore `after_two_` over a copy of `archive`, run the last round,
+  /// and hold everything the resumed runner left to the uninterrupted
+  /// one: the round, the published CSVs, the archive's bytes and what
+  /// `analyze --publish` makes of it.
+  static void expect_resume_matches(int num_threads, const TempDir& archive,
+                                    const std::string& label) {
+    TempDir copy;
+    copy_archive(archive.path, copy);
+    incremental::IncrementalConfig config = engine_config(num_threads);
+    config.archive_dir = copy.path.string();
+    incremental::IncrementalLongitudinalRunner resumed(config);
+    ASSERT_TRUE(resumed.restore(*after_two_)) << label;
+    EXPECT_EQ(resumed.completed_rounds(), 2u) << label;
+    EXPECT_EQ(archive_frames(copy.path).size(), 2u) << label;
 
     const auto dates = series_dates(resumed.config().params);
     const incremental::RoundReport last = resumed.run_round(dates[2]);
-    const std::string label =
-        "resumed final round @ " + std::to_string(num_threads) + " threads";
     expect_rounds_bit_identical((*final_rounds_)[2].round, last.round,
                                 label.c_str());
 
-    // The store (rebuilt from the checkpoint + the resumed round) must
-    // publish byte-identical CSVs.
+    // The store (rebuilt from the archive + the resumed round) must
+    // publish byte-identical CSVs, and so must the archive itself.
     TempDir full_dir;
     TempDir resumed_dir;
+    TempDir analyzed_dir;
     ASSERT_TRUE(core::publish_scores(uninterrupted_->store(),
                                      full_dir.path.string())
                     .has_value());
     ASSERT_TRUE(
         core::publish_scores(resumed.store(), resumed_dir.path.string())
             .has_value());
-    EXPECT_EQ(read_dir(full_dir.path), read_dir(resumed_dir.path)) << label;
+    std::string error;
+    ASSERT_TRUE(analytics::publish_archive(copy.path.string(),
+                                           analyzed_dir.path.string(), &error)
+                    .has_value())
+        << error;
+    const auto want = read_dir(full_dir.path);
+    EXPECT_EQ(want, read_dir(resumed_dir.path)) << label;
+    EXPECT_EQ(want, read_dir(analyzed_dir.path)) << label;
+    EXPECT_EQ(read_bytes(full_archive_->path / "archive.rvla"),
+              read_bytes(copy.path / "archive.rvla"))
+        << label;
   }
 
   static incremental::IncrementalLongitudinalRunner* uninterrupted_;
   static std::vector<incremental::RoundReport>* final_rounds_;
   static persist::CheckpointState* after_two_;
+  static TempDir* full_archive_;     // the uninterrupted run's, 3 frames
+  static TempDir* partial_archive_;  // after_two_'s, 2 frames
 };
 
 incremental::IncrementalLongitudinalRunner* CheckpointResume::uninterrupted_ =
@@ -611,6 +688,8 @@ incremental::IncrementalLongitudinalRunner* CheckpointResume::uninterrupted_ =
 std::vector<incremental::RoundReport>* CheckpointResume::final_rounds_ =
     nullptr;
 persist::CheckpointState* CheckpointResume::after_two_ = nullptr;
+TempDir* CheckpointResume::full_archive_ = nullptr;
+TempDir* CheckpointResume::partial_archive_ = nullptr;
 
 TEST_F(CheckpointResume, StateSurvivesEncodeDecode) {
   const auto bytes = persist::encode_checkpoint(*after_two_);
@@ -618,35 +697,48 @@ TEST_F(CheckpointResume, StateSurvivesEncodeDecode) {
   ASSERT_TRUE(decoded.has_value());
   expect_states_equal(*after_two_, *decoded);
   EXPECT_EQ(persist::encode_checkpoint(*decoded), bytes);
-  EXPECT_FALSE(after_two_->rounds.empty());
+  EXPECT_EQ(after_two_->archive.frames, 2u);
+  EXPECT_EQ(after_two_->archive.length,
+            fs::file_size(partial_archive_->path / "archive.rvla"));
   EXPECT_FALSE(after_two_->vvps.empty());
   EXPECT_FALSE(after_two_->vrps.empty());
 }
 
 TEST_F(CheckpointResume, SerialResumeMatchesUninterrupted) {
-  expect_resume_matches(1);
+  expect_resume_matches(1, *partial_archive_, "serial resume");
 }
 
 TEST_F(CheckpointResume, TwoThreadResumeMatchesUninterrupted) {
-  expect_resume_matches(2);
+  expect_resume_matches(2, *partial_archive_, "2-thread resume");
 }
 
 TEST_F(CheckpointResume, FourThreadResumeMatchesUninterrupted) {
-  expect_resume_matches(4);
+  expect_resume_matches(4, *partial_archive_, "4-thread resume");
 }
 
 TEST_F(CheckpointResume, EightThreadResumeMatchesUninterrupted) {
-  expect_resume_matches(8);
+  expect_resume_matches(8, *partial_archive_, "8-thread resume");
+}
+
+TEST_F(CheckpointResume, ArchiveBeyondReferenceIsCutBack) {
+  // A crash after round 3's frame committed but before its checkpoint
+  // did: the archive holds a frame the checkpoint does not name. Resume
+  // cuts it back to two frames and round 3 lands again, byte-identically.
+  ASSERT_EQ(archive_frames(full_archive_->path).size(), 3u);
+  expect_resume_matches(2, *full_archive_, "resume over a longer archive");
 }
 
 TEST_F(CheckpointResume, FileRoundTripResumesIdentically) {
-  // Through the actual file layer, not just in-memory state.
+  // Through the actual file layer, not just in-memory state, with the
+  // archive kept in the checkpoint directory (no archive_dir).
   TempDir dir;
+  copy_archive(partial_archive_->path, dir);
   ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(), *after_two_));
 
   incremental::IncrementalConfig config = engine_config(2);
   config.checkpoint_dir = dir.path.string();
   incremental::IncrementalLongitudinalRunner resumed(config);
+  EXPECT_EQ(resumed.archive_dir(), dir.path.string());
   ASSERT_TRUE(resumed.resume_from_checkpoint());
   EXPECT_EQ(resumed.completed_rounds(), 2u);
 
@@ -654,6 +746,11 @@ TEST_F(CheckpointResume, FileRoundTripResumesIdentically) {
   const incremental::RoundReport last = resumed.run_round(dates[2]);
   expect_rounds_bit_identical((*final_rounds_)[2].round, last.round,
                               "file round trip");
+  const auto written = persist::load_checkpoint_file(dir.path.string());
+  ASSERT_TRUE(written.has_value());
+  EXPECT_EQ(written->archive.frames, 3u);
+  EXPECT_EQ(read_bytes(full_archive_->path / "archive.rvla"),
+            read_bytes(dir.path / "archive.rvla"));
 }
 
 TEST_F(CheckpointResume, DigestMismatchIsLoggedColdStart) {
@@ -685,6 +782,67 @@ TEST_F(CheckpointResume, ModeMismatchIsLoggedColdStart) {
     EXPECT_FALSE(runner.restore(*after_two_));
   });
   EXPECT_NE(log.find("mismatch"), std::string::npos) << log;
+}
+
+/// Restore `state` over the archive in `archive`, which must be refused
+/// with a log line containing `why`, leaving the runner a cold start and
+/// every byte of the archive as it was.
+void expect_archive_refusal(const persist::CheckpointState& state,
+                            const TempDir& archive, const std::string& why) {
+  incremental::IncrementalConfig config = engine_config(0);
+  config.archive_dir = archive.path.string();
+  incremental::IncrementalLongitudinalRunner runner(config);
+  const bool existed = fs::exists(archive.path);
+  const auto before =
+      existed ? read_dir(archive.path) : std::map<std::string, std::string>{};
+  const std::string log =
+      capture_log([&] { EXPECT_FALSE(runner.restore(state)); });
+  EXPECT_NE(log.find(why), std::string::npos) << log;
+  EXPECT_EQ(runner.completed_rounds(), 0u);
+  EXPECT_TRUE(runner.store().dates().empty());
+  EXPECT_EQ(fs::exists(archive.path), existed);
+  if (existed) {
+    EXPECT_EQ(read_dir(archive.path), before);
+  }
+}
+
+TEST_F(CheckpointResume, MissingArchiveIsLoggedColdStart) {
+  TempDir nowhere;
+  expect_archive_refusal(*after_two_, nowhere, "no archive to resume from");
+}
+
+TEST_F(CheckpointResume, ShortArchiveIsLoggedColdStart) {
+  // The checkpoint names two frames; this archive commits one.
+  const std::vector<analytics::RvlaFrame> frames =
+      archive_frames(partial_archive_->path);
+  ASSERT_EQ(frames.size(), 2u);
+  TempDir shorter;
+  std::string error;
+  ASSERT_TRUE(analytics::RvlaWriter::create(shorter.path.string(),
+                                            std::span(frames).first(1), &error)
+                  .has_value())
+      << error;
+  expect_archive_refusal(*after_two_, shorter, "archive commits 1 frame(s)");
+}
+
+TEST_F(CheckpointResume, ArchiveOfAnotherSeriesIsLoggedColdStart) {
+  // As many frames and bytes as the checkpoint names, with other scores:
+  // only the CRC tells this archive from the one the checkpoint
+  // describes.
+  std::vector<analytics::RvlaFrame> frames =
+      archive_frames(partial_archive_->path);
+  ASSERT_EQ(frames.size(), 2u);
+  ASSERT_FALSE(frames[1].scores.empty());
+  frames[1].scores[0] = 100.0 - frames[1].scores[0] + 0.5;
+  TempDir other;
+  std::string error;
+  ASSERT_TRUE(
+      analytics::RvlaWriter::create(other.path.string(), frames, &error)
+          .has_value())
+      << error;
+  ASSERT_EQ(fs::file_size(other.path / "archive.rvla"),
+            after_two_->archive.length);
+  expect_archive_refusal(*after_two_, other, "length or CRC");
 }
 
 TEST_F(CheckpointResume, CorruptCheckpointFilesAreLoggedColdStart) {
@@ -725,13 +883,47 @@ TEST_F(CheckpointResume, PeriodicCheckpointsAreWritten) {
     ASSERT_TRUE(fs::exists(paths.current));
     const auto one = persist::load_checkpoint_file(dir.path.string());
     ASSERT_TRUE(one.has_value());
-    EXPECT_EQ(one->rounds.size(), 1u);
-    runner.run_round(dates[1]);
+    EXPECT_EQ(one->archive.frames, 1u);
+    // Same date again: the same lists, one more frame.
+    runner.run_round(dates[0]);
   }
   const auto two = persist::load_checkpoint_file(dir.path.string());
   ASSERT_TRUE(two.has_value());
-  EXPECT_EQ(two->rounds.size(), 2u);
-  EXPECT_TRUE(fs::exists(paths.previous));
+  EXPECT_EQ(two->archive.frames, 2u);
+  EXPECT_EQ(two->archive.length, fs::file_size(dir.path / "archive.rvla"));
+  ASSERT_TRUE(fs::exists(paths.previous));
+  // The checkpoint points into the archive instead of holding the
+  // rounds, so it does not grow with them.
+  EXPECT_EQ(fs::file_size(paths.current), fs::file_size(paths.previous));
+}
+
+TEST_F(CheckpointResume, ArchiveThatCannotBeCreatedStopsCheckpoints) {
+  // archive_dir names a regular file: the first round's create fails,
+  // the runner logs it once and writes no checkpoint from then on.
+  TempDir dir;
+  fs::create_directories(dir.path);
+  const fs::path not_a_dir = dir.path / "plain-file";
+  write_bytes(not_a_dir, std::vector<std::uint8_t>{1, 2, 3});
+  incremental::IncrementalConfig config = engine_config(0);
+  config.checkpoint_dir = (dir.path / "ck").string();
+  config.archive_dir = not_a_dir.string();
+  const auto paths = persist::CheckpointPaths::in(config.checkpoint_dir);
+  std::string log = capture_log([&] {
+    incremental::IncrementalLongitudinalRunner runner(config);
+    const auto dates = series_dates(runner.config().params);
+    runner.run_round(dates[0]);
+    runner.run_round(dates[1]);
+    EXPECT_FALSE(runner.write_checkpoint());
+    EXPECT_EQ(runner.completed_rounds(), 2u);
+  });
+  EXPECT_NE(log.find("archive and checkpoints off"), std::string::npos)
+      << log;
+  EXPECT_EQ(log.find("archive and checkpoints off"),
+            log.rfind("archive and checkpoints off"))
+      << "logged more than once: " << log;
+  for (const std::string& slot : paths.slots()) {
+    EXPECT_FALSE(fs::exists(slot) && fs::file_size(slot) > 0) << slot;
+  }
 }
 
 TEST(ScoreCacheRestore, ShapeMismatchClearsAndRefuses) {

@@ -6,6 +6,7 @@
 // engine's bit-identity contract under nonzero fault rates — including
 // checkpoint/resume out of the middle of a failure window.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analytics/rvla_io.h"
 #include "core/publish.h"
 #include "faults/fault_chain.h"
 #include "faults/fault_schedule.h"
@@ -409,6 +411,27 @@ void expect_bit_identical(const core::MeasurementRound& a,
   }
 }
 
+/// A fresh path under the temp directory, removed with everything under
+/// it when the object dies.
+struct TempDir {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("rovista-faults-" + std::to_string(::getpid()) + "-" +
+       std::to_string(counter++));
+  ~TempDir() { std::filesystem::remove_all(path); }
+  static inline int counter = 0;
+};
+
+/// The faulted engine config, archiving into `archive` so that a
+/// checkpoint of it can be restored.
+incremental::IncrementalConfig archived_config(const TempDir& archive,
+                                               int num_threads) {
+  incremental::IncrementalConfig config =
+      faulted_engine_config(/*incremental=*/true, num_threads);
+  config.archive_dir = archive.path.string();
+  return config;
+}
+
 std::map<std::string, std::string> read_dir(
     const std::filesystem::path& dir) {
   std::map<std::string, std::string> files;
@@ -518,8 +541,9 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
   // windows — and resume in a new runner at a different thread count:
   // the final round and the whole published series must match the
   // uninterrupted full-recompute baseline byte for byte.
+  TempDir archive;
   incremental::IncrementalLongitudinalRunner partial(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
+      archived_config(archive, /*num_threads=*/2));
   const auto dates = fault_round_dates(partial.config().params);
   partial.run_round(dates[0]);
   const incremental::RoundReport second = partial.run_round(dates[1]);
@@ -531,7 +555,7 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
   EXPECT_TRUE(state.faulted);
 
   incremental::IncrementalLongitudinalRunner resumed(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/4));
+      archived_config(archive, /*num_threads=*/4));
   ASSERT_TRUE(resumed.restore(state));
   EXPECT_EQ(resumed.completed_rounds(), 2u);
   const incremental::RoundReport last = resumed.run_round(dates[2]);
@@ -554,34 +578,46 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
 }
 
 TEST_F(FaultedIncrementalRound, CheckpointRoundTripsThroughWireFormat) {
+  TempDir archive;
   incremental::IncrementalLongitudinalRunner partial(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
+      archived_config(archive, /*num_threads=*/2));
   const auto dates = fault_round_dates(partial.config().params);
-  partial.run_round(dates[0]);
-  partial.run_round(dates[1]);
+  const incremental::RoundReport first = partial.run_round(dates[0]);
+  const incremental::RoundReport second = partial.run_round(dates[1]);
   const persist::CheckpointState state = partial.checkpoint_state();
 
-  // Faulted state selects the version-2 container, and the canonical
-  // encoding round-trips — health records included.
+  // Faulted state adds the FAULTS section, and the canonical encoding
+  // round-trips.
   const std::vector<std::uint8_t> bytes = persist::encode_checkpoint(state);
   const auto inspection = persist::inspect_checkpoint(bytes);
   ASSERT_TRUE(inspection.has_value());
-  EXPECT_EQ(inspection->format_version, persist::kFormatVersionFaults);
+  EXPECT_EQ(inspection->format_version, persist::kFormatVersion);
+  ASSERT_EQ(inspection->sections.size(), 6u);
+  EXPECT_EQ(inspection->sections.back().id, persist::kSectionFaults);
   std::string error;
   const auto decoded = persist::decode_checkpoint(bytes, &error);
   ASSERT_TRUE(decoded.has_value()) << error;
   EXPECT_TRUE(decoded->faulted);
   EXPECT_EQ(decoded->fault_digest, state.fault_digest);
-  ASSERT_EQ(decoded->rounds.size(), state.rounds.size());
-  for (std::size_t i = 0; i < state.rounds.size(); ++i) {
-    EXPECT_EQ(decoded->rounds[i].health, state.rounds[i].health);
-  }
+  EXPECT_EQ(decoded->archive, state.archive);
+  EXPECT_EQ(decoded->archive.frames, 2u);
   EXPECT_EQ(persist::encode_checkpoint(*decoded), bytes);
+
+  // The rounds' health lives in the archive frames the checkpoint names.
+  auto cursor = analytics::RvlaCursor::open(archive.path.string(), &error);
+  ASSERT_TRUE(cursor.has_value()) << error;
+  for (const incremental::RoundReport* report : {&first, &second}) {
+    const auto frame = cursor->next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_TRUE(frame->has_health);
+    EXPECT_EQ(frame->health, report->health);
+  }
 }
 
 TEST_F(FaultedIncrementalRound, RestoreRefusesForeignFaultWorlds) {
+  TempDir archive;
   incremental::IncrementalLongitudinalRunner partial(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
+      archived_config(archive, /*num_threads=*/2));
   const auto dates = fault_round_dates(partial.config().params);
   partial.run_round(dates[0]);
   const persist::CheckpointState state = partial.checkpoint_state();
@@ -591,7 +627,7 @@ TEST_F(FaultedIncrementalRound, RestoreRefusesForeignFaultWorlds) {
   persist::CheckpointState tampered = state;
   tampered.fault_digest ^= 1;
   incremental::IncrementalLongitudinalRunner fresh(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
+      archived_config(archive, /*num_threads=*/2));
   EXPECT_FALSE(fresh.restore(tampered));
 
   // Nor may a faulted checkpoint resume into a fault-free engine (or

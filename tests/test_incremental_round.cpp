@@ -6,6 +6,7 @@
 // a repeated date reuses everything, and memoized pair fingerprints
 // equal a fresh recompute.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -77,6 +78,17 @@ void expect_bit_identical(const core::MeasurementRound& a,
     ASSERT_EQ(x.tnodes_inconsistent, y.tnodes_inconsistent) << label;
   }
 }
+
+/// A fresh path under the temp directory, removed with everything under
+/// it when the object dies.
+struct TempDir {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("rovista-incr-" + std::to_string(::getpid()) + "-" +
+       std::to_string(counter++));
+  ~TempDir() { std::filesystem::remove_all(path); }
+  static inline int counter = 0;
+};
 
 std::map<std::string, std::string> read_dir(
     const std::filesystem::path& dir) {
@@ -362,17 +374,20 @@ TEST_F(SlurmIncrementalRound, DeltaInstallKeepsCacheAndViews) {
 
 TEST_F(SlurmIncrementalRound, CheckpointResumeMatchesUninterrupted) {
   // Two rounds, checkpoint, resume in a new runner at a different thread
-  // count, final round bit-identical and the whole published series
-  // byte-identical to the full-recompute baseline.
-  incremental::IncrementalLongitudinalRunner partial(
-      slurm_engine_config(/*incremental=*/true, /*num_threads=*/2));
+  // count over the same archive, final round bit-identical and the whole
+  // published series byte-identical to the full-recompute baseline.
+  TempDir archive;
+  incremental::IncrementalConfig config =
+      slurm_engine_config(/*incremental=*/true, /*num_threads=*/2);
+  config.archive_dir = archive.path.string();
+  incremental::IncrementalLongitudinalRunner partial(config);
   const auto dates = round_dates(partial.config().params);
   partial.run_round(dates[0]);
   partial.run_round(dates[1]);
   const persist::CheckpointState state = partial.checkpoint_state();
 
-  incremental::IncrementalLongitudinalRunner resumed(
-      slurm_engine_config(/*incremental=*/true, /*num_threads=*/4));
+  config.rovista.num_threads = 4;
+  incremental::IncrementalLongitudinalRunner resumed(config);
   ASSERT_TRUE(resumed.restore(state));
   EXPECT_EQ(resumed.completed_rounds(), 2u);
   const incremental::RoundReport last = resumed.run_round(dates[2]);
@@ -504,7 +519,9 @@ TEST(FingerprintOracle, MemoMatchesRecompute) {
   constexpr std::size_t kRepeated = 1;  // +150 again
   constexpr std::size_t kResumeAt = 4;  // restore, then run +171
   std::size_t mixed_rounds = 0;  // re-hashed some pairs, kept the others
-  for (const auto& [name, config] : fixtures) {
+  for (auto [name, config] : fixtures) {
+    TempDir archive;  // restore() resumes the series' archive
+    config.archive_dir = archive.path.string();
     auto runner =
         std::make_unique<incremental::IncrementalLongitudinalRunner>(config);
     bool partial = false;
@@ -541,9 +558,11 @@ TEST(FingerprintOracle, MemoMatchesRecompute) {
 // gated exactly like --slurm-fraction: with every knob at its default 0,
 // the published CSVs, the RVCP checkpoint container bytes, and the
 // engine config digest are pinned byte-for-byte to the pre-fault build,
-// at every thread count. The constants below were captured from the
-// build immediately before the fault layer landed; any drift means the
-// gating leaked into a default world.
+// at every thread count. The publish and config constants below were
+// captured from the build immediately before the fault layer landed;
+// the checkpoint constant was re-captured once, for RVCP version 3,
+// whose CURSOR names the archive instead of holding the rounds. Any
+// drift means the gating leaked into a default world.
 
 std::uint64_t digest_string(std::uint64_t h, const std::string& bytes) {
   return persist::fnv1a64(
@@ -562,13 +581,17 @@ std::uint64_t digest_published_dir(const std::filesystem::path& dir) {
 }
 
 constexpr std::uint64_t kGoldenPublishDigest = 0xc298de19204978e2ull;
-constexpr std::uint64_t kGoldenCheckpointDigest = 0xc5709d22511d4b71ull;
+constexpr std::uint64_t kGoldenCheckpointDigest = 0xec9bde3698e005dbull;
 constexpr std::uint64_t kGoldenConfigDigest = 0xb84dfbbc72591e94ull;
 
 TEST(FaultKnobZeroIncrementalRound, GoldenBytesPinnedAtAllThreadCounts) {
   for (const int threads : {1, 2, 4, 8}) {
-    const incremental::IncrementalConfig config =
+    // The checkpoint names the runner's archive by frame count, length
+    // and CRC, so the digest covers the archived rounds too.
+    TempDir archive;
+    incremental::IncrementalConfig config =
         engine_config(/*incremental=*/true, threads);
+    config.archive_dir = archive.path.string();
     incremental::IncrementalLongitudinalRunner runner(config);
     for (const util::Date date : round_dates(config.params)) {
       runner.run_round(date);

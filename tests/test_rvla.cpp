@@ -19,15 +19,17 @@
 //    between publish_archive and core::publish_scores — across
 //    randomized series with same-date re-records, duplicate ASNs,
 //    empty rounds and health frames,
-//  - wiring: IncrementalLongitudinalRunner --archive appends match the
-//    store it records, and ScoreFeed::seed_from_archive reproduces
-//    seed_from_store's snapshot.
+//  - wiring: ScoreFeed::seed_from_archive reproduces the snapshot the
+//    store oracle below folds from a LongitudinalStore fed the same
+//    rounds, and a runner resumed from a checkpoint leaves an archive
+//    that seeds exactly its restored store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,8 +41,11 @@
 #include "analytics/rvla_io.h"
 #include "core/longitudinal.h"
 #include "core/publish.h"
+#include "incremental/longitudinal_engine.h"
 #include "persist/slot_file.h"
+#include "round_fixture.h"
 #include "serve/score_feed.h"
+#include "util/csv.h"
 #include "util/date.h"
 #include "wire_fuzz.h"
 
@@ -655,40 +660,103 @@ TEST(RvlaQueries, DamagedArchiveFailsEveryQuery) {
 
 // ---------- serve warm start ----------
 
-TEST(RvlaServe, SeedFromArchiveMatchesSeedFromStore) {
-  Series series;
-  build_series(42, series);
-  if (::testing::Test::HasFatalFailure()) return;
+// ---------- warm start ----------
 
-  serve::ScoreFeed from_store;
-  from_store.seed_from_store(series.store);
-  serve::ScoreFeed from_archive;
-  ASSERT_TRUE(from_archive.seed_from_archive(series.dir.path.string()));
-
-  const auto a = from_store.current();
-  const auto b = from_archive.current();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->date, b->date);
-  EXPECT_EQ(a->rounds_completed, b->rounds_completed);
-  EXPECT_EQ(a->score_strs, b->score_strs);
-  ASSERT_EQ(a->scores.size(), b->scores.size());
-  for (std::size_t i = 0; i < a->scores.size(); ++i) {
-    EXPECT_EQ(a->scores[i].asn, b->scores[i].asn);
-    EXPECT_EQ(a->scores[i].score, b->scores[i].score);
+/// The oracle for ScoreFeed::seed_from_archive: the warm-start snapshot
+/// folded from an in-memory store — every AS's full series as its
+/// trajectory, the last date's scores formatted as the published CSV
+/// writes them, one completed round per measurement date.
+serve::RoundSnapshot snapshot_from_store(
+    const core::LongitudinalStore& store) {
+  serve::RoundSnapshot snapshot;
+  const std::vector<Date> dates = store.dates();
+  if (dates.empty()) return snapshot;
+  auto trajectory = std::make_shared<serve::RoundSnapshot::Trajectory>();
+  for (const Asn asn : store.ases()) {
+    for (const auto& [date, score] : store.series(asn)) {
+      (*trajectory)[asn].push_back(
+          serve::TrajectoryPoint{date.days_since_epoch(), score});
+    }
   }
-  ASSERT_NE(a->trajectory, nullptr);
-  ASSERT_NE(b->trajectory, nullptr);
-  ASSERT_EQ(a->trajectory->size(), b->trajectory->size());
-  for (const auto& [asn, points] : *a->trajectory) {
-    const auto it = b->trajectory->find(asn);
-    ASSERT_NE(it, b->trajectory->end());
+  for (const Asn asn : store.ases_on(dates.back())) {
+    core::AsScore s;
+    s.asn = asn;
+    s.score = *store.score_on(asn, dates.back());
+    snapshot.scores.push_back(s);
+    snapshot.score_strs.push_back(util::fmt_double(s.score, 2));
+  }
+  snapshot.date = dates.back();
+  snapshot.trajectory = std::move(trajectory);
+  snapshot.rounds_completed = dates.size();
+  return snapshot;
+}
+
+void expect_same_snapshot(const serve::RoundSnapshot& a,
+                          const serve::RoundSnapshot& b) {
+  EXPECT_EQ(a.date, b.date);
+  EXPECT_EQ(a.rounds_completed, b.rounds_completed);
+  EXPECT_EQ(a.score_strs, b.score_strs);
+  ASSERT_EQ(a.scores.size(), b.scores.size());
+  for (std::size_t i = 0; i < a.scores.size(); ++i) {
+    EXPECT_EQ(a.scores[i].asn, b.scores[i].asn);
+    EXPECT_EQ(a.scores[i].score, b.scores[i].score);
+  }
+  ASSERT_NE(a.trajectory, nullptr);
+  ASSERT_NE(b.trajectory, nullptr);
+  ASSERT_EQ(a.trajectory->size(), b.trajectory->size());
+  for (const auto& [asn, points] : *a.trajectory) {
+    const auto it = b.trajectory->find(asn);
+    ASSERT_NE(it, b.trajectory->end());
     ASSERT_EQ(points.size(), it->second.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(points[i].date_days, it->second[i].date_days);
       EXPECT_EQ(points[i].score, it->second[i].score);
     }
   }
+}
+
+TEST(RvlaServe, SeedFromArchiveMatchesSeedFromStore) {
+  Series series;
+  build_series(42, series);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  serve::ScoreFeed from_archive;
+  ASSERT_TRUE(from_archive.seed_from_archive(series.dir.path.string()));
+  ASSERT_NE(from_archive.current(), nullptr);
+  expect_same_snapshot(snapshot_from_store(series.store),
+                       *from_archive.current());
+}
+
+TEST(RvlaServe, ResumedArchiveSeedsTheRestoredStore) {
+  // Three rounds archived, a checkpoint after the second: the resumed
+  // runner cuts its archive back to two frames, and a feed seeded from
+  // that archive serves exactly the restored store.
+  TempDir archive;
+  TempDir checkpoints;
+  TempDir after_two;
+  incremental::IncrementalConfig config;
+  config.params = testfx::round_params();
+  config.rovista = testfx::round_config();
+  config.archive_dir = archive.path.string();
+  config.checkpoint_dir = checkpoints.path.string();
+  const Date start = config.params.start;
+  {
+    incremental::IncrementalLongitudinalRunner runner(config);
+    runner.run_round(start + 150);
+    runner.run_round(start + 171);
+    fs::copy(checkpoints.path, after_two.path, fs::copy_options::recursive);
+    runner.run_round(start + 215);
+  }
+  config.checkpoint_dir = after_two.path.string();
+  incremental::IncrementalLongitudinalRunner resumed(config);
+  ASSERT_TRUE(resumed.resume_from_checkpoint());
+  ASSERT_EQ(resumed.completed_rounds(), 2u);
+
+  serve::ScoreFeed feed;
+  ASSERT_TRUE(feed.seed_from_archive(resumed.archive_dir()));
+  ASSERT_NE(feed.current(), nullptr);
+  EXPECT_EQ(feed.current()->rounds_completed, 2u);
+  expect_same_snapshot(snapshot_from_store(resumed.store()), *feed.current());
 }
 
 TEST(RvlaServe, SeedFromMissingOrEmptyArchiveFails) {

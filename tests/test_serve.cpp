@@ -11,11 +11,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/longitudinal.h"
+#include "analytics/rvla_io.h"
 #include "core/scoring.h"
 #include "dataplane/traceroute.h"
 #include "round_fixture.h"
@@ -284,14 +287,26 @@ TEST(Serve, GracefulStopFlushesInFlightResponses) {
 }
 
 TEST(Serve, WarmStartServesRestoredStore) {
-  core::LongitudinalStore store;
-  const auto scores = synthetic_scores();
+  // A two-frame archive, as a resumed runner leaves it.
+  std::vector<std::pair<core::Asn, double>> rows;
+  for (const core::AsScore& s : synthetic_scores()) {
+    rows.emplace_back(s.asn, s.score);
+  }
   const util::Date d1 = util::Date::from_ymd(2021, 7, 25);
-  store.record(d1, scores);
-  store.record(d1 + 30, scores);
+  const analytics::RvlaFrame frames[] = {
+      analytics::make_frame(d1, rows, false, {}),
+      analytics::make_frame(d1 + 30, rows, false, {})};
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("rovista-serve-warm-" + std::to_string(::getpid()));
+  std::string error;
+  ASSERT_TRUE(
+      analytics::RvlaWriter::create(dir.string(), frames, &error).has_value())
+      << error;
 
   TestServer ts;
-  ts.feed->seed_from_store(store);
+  ASSERT_TRUE(ts.feed->seed_from_archive(dir.string()));
+  std::filesystem::remove_all(dir);
   ASSERT_TRUE(ts.server->start());
 
   BlockingClient client;
@@ -300,7 +315,7 @@ TEST(Serve, WarmStartServesRestoredStore) {
   ASSERT_TRUE(client.call(make_request(Opcode::kScore, 1, 64500), response));
   EXPECT_EQ(response.status, Status::kOk);
   EXPECT_EQ(response.score_str, util::fmt_double(0.0, 2));
-  EXPECT_EQ(response.vvp_count, 0u);  // counters not retained by the store
+  EXPECT_EQ(response.vvp_count, 0u);  // counters not kept by the archive
 
   ASSERT_TRUE(
       client.call(make_request(Opcode::kTrajectory, 2, 64500), response));

@@ -13,8 +13,9 @@
 //    into it, and a first commit out-ranks every seq on disk,
 //  - RVCP checkpoints: a torn newest slot (every truncation, every byte
 //    flip) loads the previous CheckpointState and logs the rejection;
-//    both torn → nullopt; unslotted checkpoint.bin / checkpoint.bin.1
-//    still load, and a writer spares the newest of them,
+//    both torn → nullopt; the unslotted version 1/2 checkpoint.bin /
+//    checkpoint.bin.1 of pre-slot builds are refused with a log line,
+//    and a writer commits over them,
 //  - RVLA heads: a torn newest head slot opens the previous head, so
 //    the cursor yields exactly the earlier frames and tolerates the last
 //    append as debris; both torn → an error naming the head; a raw
@@ -306,12 +307,9 @@ persist::CheckpointState tagged_state(std::uint64_t tag, int rounds) {
   s.config_digest = 0x1122334455667788ull;
   s.user_tag = tag;
   s.incremental = true;
-  for (int i = 0; i < rounds; ++i) {
-    persist::RoundRecord r;
-    r.date = util::Date::from_ymd(2022, 3, 1) + 20 * i;
-    r.scores = {{65001u, 12.5 * i}, {65002u, 100.0}};
-    s.rounds.push_back(r);
-  }
+  s.archive.frames = static_cast<std::uint64_t>(rounds);
+  s.archive.length = 8 + 53 * s.archive.frames;
+  s.archive.crc = 0x9E3779B9u * static_cast<std::uint32_t>(rounds + 1);
   return s;
 }
 
@@ -378,48 +376,41 @@ TEST(SlotFile, CheckpointBothSlotsTornIsNullopt) {
   EXPECT_NE(log.find("checkpoint.bin.1"), std::string::npos) << log;
 }
 
-TEST(SlotFile, LegacyCheckpointFilesStillLoad) {
+TEST(SlotFile, LegacyCheckpointFilesAreRefused) {
+  // Pre-slot builds wrote a bare RVCP image of format version 1 or 2,
+  // whose CURSOR held every round. This build resumes only from version
+  // 3, so both are logged refusals: the series cold-starts.
   TempDir dir;
   const auto paths = persist::CheckpointPaths::in(dir.path.string());
-  const auto one = persist::encode_checkpoint(tagged_state(1, 1));
-  const auto two = persist::encode_checkpoint(tagged_state(2, 2));
-  write_bytes(paths.current, one);
-  write_bytes(paths.previous, two);
+  const fs::path data = ROVISTA_TEST_DATA_DIR;
+  fs::copy_file(data / "checkpoint_v1.rvcp", paths.current);
+  fs::copy_file(data / "checkpoint_v2.rvcp", paths.previous);
+  EXPECT_EQ(persist::read_slot(paths.current).kind,
+            persist::SlotFile::Kind::kUnslotted);
 
-  // Between two unslotted images, checkpoint.bin ranks first.
-  auto loaded = persist::load_checkpoint_slot(dir.path.string());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->first.user_tag, 1u);
-  EXPECT_FALSE(loaded->second.slotted);
-  EXPECT_EQ(loaded->second.slot, 0);
+  std::optional<std::pair<persist::CheckpointState, persist::SlotChoice>>
+      loaded;
+  std::string log = capture_log(
+      [&] { loaded = persist::load_checkpoint_slot(dir.path.string()); });
+  EXPECT_FALSE(loaded.has_value());
+  for (const std::string& slot : paths.slots()) {
+    EXPECT_NE(log.find("checkpoint: rejecting " + slot), std::string::npos)
+        << log;
+  }
+  EXPECT_NE(log.find("not resumable by this build"), std::string::npos)
+      << log;
 
-  // A writer spares the newest unslotted image: the first commit goes
-  // to checkpoint.bin.1, and any slot image out-ranks a legacy file.
-  ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(),
-                                             tagged_state(3, 3)));
-  EXPECT_EQ(read_bytes(paths.current), one);
+  // A writer spares neither: its first commit lands in slot 0, and the
+  // series checkpoints as usual from then on.
+  log = capture_log([&] {
+    ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(),
+                                               tagged_state(3, 3)));
+  });
   loaded = persist::load_checkpoint_slot(dir.path.string());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->first.user_tag, 3u);
   EXPECT_TRUE(loaded->second.slotted);
-
-  // A damaged checkpoint.bin falls back to checkpoint.bin.1, and the
-  // writer then spares checkpoint.bin.1.
-  write_bytes(paths.previous, two);
-  std::vector<std::uint8_t> bad = one;
-  bad[bad.size() / 2] ^= 0xFF;
-  write_bytes(paths.current, bad);
-  capture_log([&] {
-    loaded = persist::load_checkpoint_slot(dir.path.string());
-  });
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->first.user_tag, 2u);
-  capture_log([&] {
-    ASSERT_TRUE(persist::write_checkpoint_file(dir.path.string(),
-                                               tagged_state(4, 4)));
-  });
-  EXPECT_EQ(read_bytes(paths.previous), two);
-  EXPECT_EQ(persist::load_checkpoint_file(dir.path.string())->user_tag, 4u);
+  EXPECT_EQ(loaded->second.slot, 0);
 }
 
 // ---------- RVLA heads ----------

@@ -230,8 +230,10 @@ int usage() {
       "          per round (scores identical either way); the per-round\n"
       "          series goes to --out as CSV. With --checkpoint-dir the\n"
       "          series writes crash-safe RVCP checkpoints (see\n"
-      "          docs/FORMATS.md) and --resume continues an interrupted\n"
-      "          series bit-identically. The fault knobs inject RPKI\n"
+      "          docs/FORMATS.md) that point into its RVLA archive,\n"
+      "          kept in --archive or else in the checkpoint directory,\n"
+      "          and --resume continues an interrupted series\n"
+      "          bit-identically. The fault knobs inject RPKI\n"
       "          supply-chain failures (RP crashes serving stale VRPs,\n"
       "          RTR session drops/corrupt PDUs, divergent RP\n"
       "          implementations); all default to 0, which leaves every\n"
@@ -259,8 +261,9 @@ int usage() {
       "          dataset byte-identically to `longitudinal --publish`\n"
       "  checkpoint inspect (--dir DIR | --file FILE)\n"
       "          print each slot's seq and CRC verdict, the RVCP section\n"
-      "          table and integrity verdict, and the slot a resume\n"
-      "          would take, without restoring anything\n"
+      "          table and integrity verdict, the archive prefix it\n"
+      "          names, and the slot a resume would take, without\n"
+      "          restoring anything\n"
       "  serve   --seed N --rounds N [--interval-days N]\n"
       "          [--start YYYY-MM-DD]\n"
       "          [--scale small|paper] [--port P] [--workers N]\n"
@@ -272,7 +275,8 @@ int usage() {
       "          is announced as 'LISTENING <port>' on stdout), run the\n"
       "          round series behind it, then keep serving until SIGTERM\n"
       "          (graceful: in-flight responses are flushed). --resume\n"
-      "          warm-starts scores/trajectories from an RVCP checkpoint;\n"
+      "          continues an RVCP checkpoint and warm-starts scores/\n"
+      "          trajectories from the restored rounds of its archive;\n"
       "          --publish writes the CSV dataset once the series ends\n"
       "          and announces 'PUBLISHED <dir>'; --warn-depth enables\n"
       "          the pin-leak diagnostic on the epoch chain; --archive\n"
@@ -340,7 +344,7 @@ int cmd_measure(const Args& args) {
   if (out == nullptr) return usage();
   scenario::ScenarioParams params;
   params.seed = seed;
-  if (!parse_topology(args, params)) return usage();
+  if (!parse_topology(args, params)) return 2;
 
   std::printf("building world (seed %llu) ...\n",
               static_cast<unsigned long long>(seed));
@@ -391,6 +395,8 @@ int cmd_measure(const Args& args) {
 }
 
 int cmd_query(const Args& args) {
+  std::uint64_t asn = 0;
+  if (!read_u64(args, "asn", asn)) return 2;
   const char* dir = args.get("dir");
   if (dir == nullptr) return usage();
   const auto store = core::load_scores(dir);
@@ -398,9 +404,7 @@ int cmd_query(const Args& args) {
     std::fprintf(stderr, "error: no dataset at %s\n", dir);
     return 1;
   }
-  if (const char* asn_str = args.get("asn")) {
-    std::uint64_t asn = 0;
-    if (!util::parse_u64(asn_str, asn)) return usage();
+  if (args.has("asn")) {
     const auto series = store->series(static_cast<core::Asn>(asn));
     if (series.empty()) {
       std::printf("AS%llu: no measurements\n",
@@ -480,38 +484,53 @@ int cmd_audit(const Args& args) {
   return 0;
 }
 
-int cmd_longitudinal(const Args& args) {
-  std::uint64_t seed = 42;
+// A dated round series, as longitudinal and serve run it.
+struct Series {
+  incremental::IncrementalConfig config;
   std::uint64_t rounds = 0;
+  util::Date start;
   std::uint64_t interval_days = 30;
+
+  // Round i measures at min(start + i * interval, scenario end) — the
+  // closed form makes the date sequence a function of the round index,
+  // so a resumed process recomputes exactly the dates it skips.
+  util::Date date(std::uint64_t i) const {
+    util::Date d = start + static_cast<int>(i * interval_days);
+    if (d > config.params.end) d = config.params.end;
+    return d;
+  }
+};
+
+/// The flags longitudinal and serve share: --seed, --rounds,
+/// --interval-days, --start, --threads, --scale and the checkpoint and
+/// archive flags. nullopt after a one-line refusal (the caller exits 2).
+std::optional<Series> read_series(const Args& args, const char* command) {
+  Series series;
+  incremental::IncrementalConfig& config = series.config;
   std::uint64_t threads = 0;
   int checkpoint_every = 1;
-  // Test hook for the tier-1 crash-safety stage: simulate a process
-  // death (no destructors, no exit checkpoint) after N completed rounds.
-  std::uint64_t die_after = 0;
-  if (!read_u64(args, "seed", seed) || !read_u64(args, "rounds", rounds) ||
-      !read_u64(args, "interval-days", interval_days) ||
+  if (!read_u64(args, "seed", config.params.seed) ||
+      !read_u64(args, "rounds", series.rounds) ||
+      !read_u64(args, "interval-days", series.interval_days) ||
       !read_u64(args, "threads", threads) ||
-      !read_checkpoint_every(args, checkpoint_every) ||
-      !read_u64(args, "die-after", die_after)) {
-    return 2;
+      !read_checkpoint_every(args, checkpoint_every)) {
+    return std::nullopt;
   }
-  if (rounds == 0) return usage();
-  if (interval_days == 0) interval_days = 1;
-  const char* mode = args.get("incremental", "on");
-  if (std::strcmp(mode, "on") != 0 && std::strcmp(mode, "off") != 0) {
-    return usage();
+  if (series.rounds == 0) {
+    std::fprintf(stderr, "error: %s needs --rounds N with N >= 1\n",
+                 command);
+    return std::nullopt;
   }
+  if (series.interval_days == 0) series.interval_days = 1;
   const char* scale = args.get("scale", "paper");
-  if (std::strcmp(scale, "paper") != 0 && std::strcmp(scale, "small") != 0) {
-    return usage();
+  const bool small = std::strcmp(scale, "small") == 0;
+  if (!small && std::strcmp(scale, "paper") != 0) {
+    std::fprintf(stderr, "error: --scale wants small or paper, got '%s'\n",
+                 scale);
+    return std::nullopt;
   }
-
-  incremental::IncrementalConfig config;
-  config.params.seed = seed;
   config.rovista = round_config(threads);
-  config.incremental = std::strcmp(mode, "on") == 0;
-  if (std::strcmp(scale, "small") == 0) {
+  if (small) {
     // The tests' standard small world (tests/round_fixture.h) — fast
     // enough for CI series like the tier-1 kill/resume stage.
     config.params.topology.tier1_count = 4;
@@ -524,60 +543,73 @@ int cmd_longitudinal(const Args& args) {
     config.params.collector_peer_count = 30;
     config.rovista.scoring.min_tnodes = 2;
   }
+  series.start = config.params.start;
+  if (!read_date(args, "start", series.start)) return std::nullopt;
+
+  if (args.has("checkpoint-dir")) {
+    config.checkpoint_dir = args.get("checkpoint-dir");
+    config.checkpoint_every = checkpoint_every;
+    // Series-shape guard: the engine digest covers the world and the
+    // measurement config; this covers the CLI-level schedule, so a
+    // checkpoint from a differently-paced series — longitudinal's or
+    // serve's alike — is refused on resume.
+    persist::ByteWriter tag;
+    tag.i64(series.start.days_since_epoch());
+    tag.u64(series.interval_days);
+    tag.u8(small ? 1 : 0);
+    config.checkpoint_user_tag = persist::fnv1a64(tag.data());
+  } else if (args.has("resume") || args.has("checkpoint-every")) {
+    std::fprintf(stderr,
+                 "error: --resume/--checkpoint-every need --checkpoint-dir\n");
+    return std::nullopt;
+  }
+  if (args.has("archive")) config.archive_dir = args.get("archive");
+  for (const char* flag : {"checkpoint-dir", "archive"}) {
+    if (args.has(flag) && *args.get(flag) == '\0') {
+      std::fprintf(stderr, "error: --%s wants a directory\n", flag);
+      return std::nullopt;
+    }
+  }
+  return series;
+}
+
+int cmd_longitudinal(const Args& args) {
+  std::optional<Series> series = read_series(args, "longitudinal");
+  // Test hook for the tier-1 crash-safety stage: simulate a process
+  // death (no destructors, no exit checkpoint) after N completed rounds.
+  std::uint64_t die_after = 0;
+  if (!series.has_value() || !read_u64(args, "die-after", die_after)) {
+    return 2;
+  }
+  incremental::IncrementalConfig& config = series->config;
+  const char* mode = args.get("incremental", "on");
+  if (std::strcmp(mode, "on") != 0 && std::strcmp(mode, "off") != 0) {
+    std::fprintf(stderr, "error: --incremental wants on or off, got '%s'\n",
+                 mode);
+    return 2;
+  }
+  config.incremental = std::strcmp(mode, "on") == 0;
   // --slurm-fraction: the share of ROV deployers carrying RFC 8416
   // local exceptions; exercises the per-view delta-invalidation path of
   // apply_vrp_delta. Fault-injection knobs (faults/fault_schedule.h)
   // all default to 0; a knob-0 run splits no fault RNG stream and
   // produces bytes identical to a fault-free build.
   faults::FaultParams& faults = config.params.faults;
-  util::Date start_date = config.params.start;
   if (!read_double(args, "slurm-fraction", config.params.slurm_fraction, 0.0,
                    1.0) ||
       !read_double(args, "rp-failure-rate", faults.rp_failure_rate, 0.0,
                    1.0) ||
       !read_double(args, "rp-divergence-fraction",
                    faults.rp_divergence_fraction, 0.0, 1.0) ||
-      !read_double(args, "rtr-drop-rate", faults.rtr_drop_rate, 0.0, 1.0) ||
-      !read_date(args, "start", start_date)) {
+      !read_double(args, "rtr-drop-rate", faults.rtr_drop_rate, 0.0, 1.0)) {
     return 2;
   }
   const bool faulted = faults.enabled();
-
-  // Round i measures at min(start + i * interval, scenario end) — the
-  // closed form makes the date sequence a function of the round index,
-  // so a resumed process recomputes exactly the dates it skips.
-  const util::Date series_end = config.params.end;
-  const auto round_date = [&](std::uint64_t i) {
-    util::Date d = start_date + static_cast<int>(i * interval_days);
-    if (d > series_end) d = series_end;
-    return d;
-  };
-
-  if (args.has("checkpoint-dir")) {
-    config.checkpoint_dir = args.get("checkpoint-dir", "");
-    if (config.checkpoint_dir.empty()) return usage();
-    config.checkpoint_every = checkpoint_every;
-    // Series-shape guard: the engine digest covers the world and the
-    // measurement config; this covers the CLI-level schedule, so a
-    // checkpoint from a differently-paced series is refused on resume.
-    persist::ByteWriter tag;
-    tag.i64(start_date.days_since_epoch());
-    tag.u64(interval_days);
-    tag.u8(std::strcmp(scale, "small") == 0 ? 1 : 0);
-    config.checkpoint_user_tag = persist::fnv1a64(tag.data());
-  } else if (args.has("resume") || args.has("checkpoint-every")) {
-    std::fprintf(stderr,
-                 "error: --resume/--checkpoint-every need --checkpoint-dir\n");
-    return usage();
-  }
-  if (args.has("archive")) {
-    config.archive_dir = args.get("archive", "");
-    if (config.archive_dir.empty()) return usage();
-  }
+  const std::uint64_t rounds = series->rounds;
 
   std::printf("running %llu rounds (seed %llu, incremental %s) ...\n",
               static_cast<unsigned long long>(rounds),
-              static_cast<unsigned long long>(seed), mode);
+              static_cast<unsigned long long>(config.params.seed), mode);
   incremental::IncrementalLongitudinalRunner runner(config);
 
   std::uint64_t first_round = 0;
@@ -604,7 +636,7 @@ int cmd_longitudinal(const Args& args) {
   }
   csv += '\n';
   for (std::uint64_t i = first_round; i < rounds; ++i) {
-    const incremental::RoundReport report = runner.run_round(round_date(i));
+    const incremental::RoundReport report = runner.run_round(series->date(i));
     std::printf(
         "%s  events=%zu vrp+%zu/-%zu dirty_prefixes=%zu rows %zu/%zu "
         "pairs %zu run / %zu cached  ases=%zu\n",
@@ -675,6 +707,17 @@ int cmd_longitudinal(const Args& args) {
 // archive stage byte-diffs --publish output against `longitudinal
 // --publish`, and tests/test_rvla.cpp oracle-gates the query CSVs.
 int cmd_analyze(const Args& args) {
+  // Scores are percentages, so every score threshold lies in [0, 100].
+  double threshold = 100.0;
+  double low = 0.0;
+  double high = 100.0;
+  std::uint64_t asn = 0;
+  if (!read_double(args, "threshold", threshold, 0.0, 100.0) ||
+      !read_double(args, "low", low, 0.0, 100.0) ||
+      !read_double(args, "high", high, 0.0, 100.0) ||
+      !read_u64(args, "asn", asn)) {
+    return 2;
+  }
   const char* dir = args.get("archive");
   if (dir == nullptr) return usage();
   const char* query = args.get("query", "info");
@@ -710,10 +753,6 @@ int cmd_analyze(const Args& args) {
     }
     csv = analytics::latest_cdf_csv(*latest);
   } else if (std::strcmp(query, "fraction-trend") == 0) {
-    double threshold = 100.0;
-    if (const char* t = args.get("threshold")) {
-      if (!util::parse_double(t, threshold)) return usage();
-    }
     const auto trend = analytics::fraction_trend(dir, threshold, &error);
     if (!trend.has_value()) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -721,10 +760,9 @@ int cmd_analyze(const Args& args) {
     }
     csv = analytics::fraction_trend_csv(*trend, threshold);
   } else if (std::strcmp(query, "series") == 0) {
-    const char* asn_str = args.get("asn");
-    std::uint64_t asn = 0;
-    if (asn_str == nullptr || !util::parse_u64(asn_str, asn)) {
-      return usage();
+    if (!args.has("asn")) {
+      std::fprintf(stderr, "error: --query series needs --asn N\n");
+      return 2;
     }
     const auto series = analytics::as_series(
         dir, static_cast<core::Asn>(asn), &error);
@@ -734,14 +772,6 @@ int cmd_analyze(const Args& args) {
     }
     csv = analytics::series_csv(static_cast<core::Asn>(asn), *series);
   } else if (std::strcmp(query, "jumps") == 0) {
-    double low = 0.0;
-    double high = 100.0;
-    if (const char* l = args.get("low")) {
-      if (!util::parse_double(l, low)) return usage();
-    }
-    if (const char* h = args.get("high")) {
-      if (!util::parse_double(h, high)) return usage();
-    }
     const auto jumps = analytics::score_jumps(dir, low, high, &error);
     if (!jumps.has_value()) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -757,7 +787,7 @@ int cmd_analyze(const Args& args) {
     csv = analytics::churn_csv(*rows);
   } else {
     std::fprintf(stderr, "error: unknown --query '%s'\n", query);
-    return usage();
+    return 2;
   }
 
   if (!csv.empty()) {
@@ -833,13 +863,11 @@ bool print_rvcp(std::span<const std::uint8_t> bytes) {
               static_cast<unsigned long long>(state->user_tag));
   std::printf("  mode             %s\n",
               state->incremental ? "incremental" : "full recompute");
-  std::string round_span;
-  if (!state->rounds.empty()) {
-    round_span = "  (" + state->rounds.front().date.to_string() + " .. " +
-                 state->rounds.back().date.to_string() + ")";
-  }
-  std::printf("  rounds           %zu%s\n", state->rounds.size(),
-              round_span.c_str());
+  std::printf("  archive          %llu frame(s), %llu bytes committed, "
+              "CRC %08x\n",
+              static_cast<unsigned long long>(state->archive.frames),
+              static_cast<unsigned long long>(state->archive.length),
+              state->archive.crc);
   std::printf("  discovery        %zu vVPs, %zu tNodes\n",
               state->vvps.size(), state->tnodes.size());
   std::printf("  score cache      %zu x %zu matrix, %zu cached\n",
@@ -899,75 +927,22 @@ int cmd_checkpoint_inspect(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  std::uint64_t seed = 42;
-  std::uint64_t rounds = 0;
-  std::uint64_t interval_days = 30;
-  std::uint64_t threads = 0;
+  std::optional<Series> series = read_series(args, "serve");
   std::uint64_t port = 0;
   std::uint64_t workers = 2;
-  int checkpoint_every = 1;
   std::uint64_t warn_depth = 0;
-  if (!read_u64(args, "seed", seed) || !read_u64(args, "rounds", rounds) ||
-      !read_u64(args, "interval-days", interval_days) ||
-      !read_u64(args, "threads", threads) || !read_u64(args, "port", port) ||
+  if (!series.has_value() || !read_u64(args, "port", port) ||
       !read_u64(args, "workers", workers) ||
-      !read_checkpoint_every(args, checkpoint_every) ||
       !read_u64(args, "warn-depth", warn_depth)) {
     return 2;
   }
-  if (rounds == 0 || port > 65535) return usage();
-  if (interval_days == 0) interval_days = 1;
-  const char* scale = args.get("scale", "paper");
-  if (std::strcmp(scale, "paper") != 0 && std::strcmp(scale, "small") != 0) {
-    return usage();
+  if (port > 65535) {
+    std::fprintf(stderr, "error: --port wants 0..65535, got '%s'\n",
+                 args.get("port"));
+    return 2;
   }
   if (workers == 0) workers = 1;
-
-  incremental::IncrementalConfig config;
-  config.params.seed = seed;
-  config.rovista = round_config(threads);
-  config.incremental = true;
-  if (std::strcmp(scale, "small") == 0) {
-    config.params.topology.tier1_count = 4;
-    config.params.topology.tier2_count = 14;
-    config.params.topology.tier3_count = 36;
-    config.params.topology.stub_count = 120;
-    config.params.tnode_prefix_count = 4;
-    config.params.measured_as_count = 12;
-    config.params.hosts_per_measured_as = 3;
-    config.params.collector_peer_count = 30;
-    config.rovista.scoring.min_tnodes = 2;
-  }
-
-  util::Date start_date = config.params.start;
-  if (!read_date(args, "start", start_date)) return 2;
-  const util::Date series_end = config.params.end;
-  const auto round_date = [&](std::uint64_t i) {
-    util::Date d = start_date + static_cast<int>(i * interval_days);
-    if (d > series_end) d = series_end;
-    return d;
-  };
-
-  if (args.has("checkpoint-dir")) {
-    config.checkpoint_dir = args.get("checkpoint-dir", "");
-    if (config.checkpoint_dir.empty()) return usage();
-    config.checkpoint_every = checkpoint_every;
-    // Same series-shape tag as cmd_longitudinal: a serve daemon resumes
-    // checkpoints written by an equally-paced longitudinal series.
-    persist::ByteWriter tag;
-    tag.i64(start_date.days_since_epoch());
-    tag.u64(interval_days);
-    tag.u8(std::strcmp(scale, "small") == 0 ? 1 : 0);
-    config.checkpoint_user_tag = persist::fnv1a64(tag.data());
-  } else if (args.has("resume") || args.has("checkpoint-every")) {
-    std::fprintf(stderr,
-                 "error: --resume/--checkpoint-every need --checkpoint-dir\n");
-    return usage();
-  }
-  if (args.has("archive")) {
-    config.archive_dir = args.get("archive", "");
-    if (config.archive_dir.empty()) return usage();
-  }
+  const incremental::IncrementalConfig& config = series->config;
 
   // Block the shutdown signals before any thread exists, so workers and
   // the round thread inherit the mask and only sigwait below sees them.
@@ -988,9 +963,10 @@ int cmd_serve(const Args& args) {
   if (args.has("resume")) {
     if (runner.resume_from_checkpoint()) {
       first_round = runner.completed_rounds();
-      // Warm start: serve restored scores and trajectories immediately;
-      // reachability waits for the first live epoch.
-      feed->seed_from_store(runner.store());
+      // Warm start: serve restored scores and trajectories immediately,
+      // off the archive the resume just cut back to the restored
+      // rounds; reachability waits for the first live epoch.
+      feed->seed_from_archive(runner.archive_dir());
       std::printf("resumed from checkpoint: %llu round(s) already done\n",
                   static_cast<unsigned long long>(first_round));
     } else {
@@ -998,9 +974,8 @@ int cmd_serve(const Args& args) {
     }
   } else if (!config.archive_dir.empty()) {
     // Warm start off a previous run's RVLA archive: restored scores and
-    // trajectories serve immediately; note the first live round rewrites
-    // the archive from this process's own (empty) history, exactly as a
-    // cold start would.
+    // trajectories serve immediately; the first live round then begins
+    // a fresh archive, as every cold start does.
     if (feed->seed_from_archive(config.archive_dir)) {
       std::printf("seeded feed from archive %s\n",
                   config.archive_dir.c_str());
@@ -1025,8 +1000,9 @@ int cmd_serve(const Args& args) {
   std::atomic<int> rc{0};
   std::thread round_thread([&] {
     for (std::uint64_t i = first_round;
-         i < rounds && !stop.load(std::memory_order_relaxed); ++i) {
-      const incremental::RoundReport report = runner.run_round(round_date(i));
+         i < series->rounds && !stop.load(std::memory_order_relaxed); ++i) {
+      const incremental::RoundReport report =
+          runner.run_round(series->date(i));
       feed->publish(report.date, report.round.scores,
                     runner.publisher().current());
       std::printf("ROUND %s ases=%zu live_epochs=%ld\n",
