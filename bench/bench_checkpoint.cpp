@@ -66,7 +66,6 @@ incremental::IncrementalConfig engine_config() {
   config.params = fixture_params();
   config.rovista.scoring.min_vvps_per_as = 2;
   config.rovista.scoring.min_tnodes = 2;
-  config.incremental = true;
   return config;
 }
 

@@ -25,9 +25,10 @@
 //
 //   2. Degraded-world speedup. Under 10% RP failure / 20% divergence /
 //      10% RTR drop the incremental engine must stay bit-identical to
-//      a full recompute every round — per-AS views included — and keep
-//      a real speedup even though failure windows opening and closing
-//      dirty routes between rounds.
+//      a full recompute (the series oracle, tests/series_oracle.h) every
+//      round — round health included — and keep a real speedup even
+//      though failure windows opening and closing dirty routes between
+//      rounds.
 //
 // Results go to BENCH_faults.json; exits non-zero if outputs diverge,
 // idle overhead reaches 2%, or the degraded 10-round steady-state
@@ -43,6 +44,7 @@
 #include "bench/common.h"
 #include "faults/fault_chain.h"
 #include "incremental/longitudinal_engine.h"
+#include "series_oracle.h"
 
 namespace {
 
@@ -93,13 +95,12 @@ scenario::ScenarioParams faulted_params() {
 }
 
 incremental::IncrementalConfig engine_config(
-    const scenario::ScenarioParams& params, bool incremental) {
+    const scenario::ScenarioParams& params) {
   incremental::IncrementalConfig config;
   config.params = params;
   config.rovista.scoring.min_vvps_per_as = 2;
   config.rovista.scoring.min_tnodes = 2;
   config.rovista.num_threads = kThreads;
-  config.incremental = incremental;
   return config;
 }
 
@@ -224,8 +225,7 @@ struct OverheadResult {
 
 // Wall seconds for one full kRounds engine series from a cold runner.
 double engine_series_seconds(const scenario::ScenarioParams& params) {
-  incremental::IncrementalLongitudinalRunner runner(
-      engine_config(params, /*incremental=*/true));
+  incremental::IncrementalLongitudinalRunner runner(engine_config(params));
   const auto start = Clock::now();
   for (const util::Date date : round_dates(params)) runner.run_round(date);
   return seconds_since(start);
@@ -247,9 +247,9 @@ OverheadResult measure_overhead() {
   // Bit-identity: an armed-but-idle chain may not change a single
   // measured bit, and may not report a degraded round.
   incremental::IncrementalLongitudinalRunner knob0(
-      engine_config(fixture_params(), /*incremental=*/true));
+      engine_config(fixture_params()));
   incremental::IncrementalLongitudinalRunner armed(
-      engine_config(armed_idle_params(), /*incremental=*/true));
+      engine_config(armed_idle_params()));
   result.identical = true;
   for (const util::Date date : round_dates(fixture_params())) {
     const incremental::RoundReport a = knob0.run_round(date);
@@ -312,16 +312,15 @@ struct FaultedResult {
 };
 
 FaultedResult run_faulted() {
-  const scenario::ScenarioParams params = faulted_params();
-  incremental::IncrementalLongitudinalRunner full(
-      engine_config(params, /*incremental=*/false));
-  incremental::IncrementalLongitudinalRunner incr(
-      engine_config(params, /*incremental=*/true));
+  const incremental::IncrementalConfig config =
+      engine_config(faulted_params());
+  test::SeriesOracle full(config.params, config.rovista);
+  incremental::IncrementalLongitudinalRunner incr(config);
 
   FaultedResult result;
-  for (const util::Date date : round_dates(params)) {
+  for (const util::Date date : round_dates(config.params)) {
     auto start = Clock::now();
-    const incremental::RoundReport full_report = full.run_round(date);
+    const test::OracleRound& full_round = full.run_round(date);
     const double full_s = seconds_since(start);
 
     start = Clock::now();
@@ -337,8 +336,8 @@ FaultedResult run_faulted() {
     s.stale_ases = incr_report.health.stale_ases;
     s.expired_ases = incr_report.health.expired_ases;
     s.diverged_ases = incr_report.health.diverged_ases;
-    s.identical = rounds_identical(full_report.round, incr_report.round) &&
-                  full_report.health == incr_report.health;
+    s.identical = rounds_identical(full_round.round, incr_report.round) &&
+                  full_round.health == incr_report.health;
     result.samples.push_back(s);
     result.full_total += full_s;
     result.incr_total += incr_s;

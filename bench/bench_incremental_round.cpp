@@ -1,5 +1,6 @@
 // bench_incremental_round — full recompute vs incremental engine over a
-// 10-round longitudinal scenario with bounded ROA churn.
+// 10-round longitudinal scenario with bounded ROA churn. The full leg is
+// the series oracle's from-scratch recompute (tests/series_oracle.h).
 //
 // The scenario: a fixture-scale world, ten rounds two days apart inside
 // a quiet stretch of the timeline (no policy/announcement events, no
@@ -36,6 +37,7 @@
 #include "bench/common.h"
 #include "incremental/longitudinal_engine.h"
 #include "incremental/vrp_delta.h"
+#include "series_oracle.h"
 
 namespace {
 
@@ -184,22 +186,20 @@ struct ConfigResult {
   }
 };
 
-// One full-vs-incremental comparison: kRounds rounds from `quiet`, both
-// engines fed the same churn, every round checked bit-identical.
+// One full-vs-incremental comparison: kRounds rounds from `quiet`, the
+// oracle and the engine fed the same churn, every round checked
+// bit-identical.
 ConfigResult run_config(const char* label,
                         const scenario::ScenarioParams& params,
                         util::Date quiet) {
-  incremental::IncrementalConfig full_config;
-  full_config.params = params;
-  full_config.rovista.scoring.min_vvps_per_as = 2;
-  full_config.rovista.scoring.min_tnodes = 2;
-  full_config.rovista.num_threads = kThreads;
-  full_config.incremental = false;
-  incremental::IncrementalConfig incr_config = full_config;
-  incr_config.incremental = true;
+  incremental::IncrementalConfig config;
+  config.params = params;
+  config.rovista.scoring.min_vvps_per_as = 2;
+  config.rovista.scoring.min_tnodes = 2;
+  config.rovista.num_threads = kThreads;
 
-  incremental::IncrementalLongitudinalRunner full(full_config);
-  incremental::IncrementalLongitudinalRunner incr(incr_config);
+  test::SeriesOracle full(config.params, config.rovista);
+  incremental::IncrementalLongitudinalRunner incr(config);
   ChurnFeed full_feed(full.world());
   ChurnFeed incr_feed(incr.world());
 
@@ -210,7 +210,7 @@ ConfigResult run_config(const char* label,
     incr_feed.publish_round(r, date);
 
     auto start = Clock::now();
-    const incremental::RoundReport full_report = full.run_round(date);
+    const test::OracleRound& full_round = full.run_round(date);
     const double full_s = seconds_since(start);
 
     start = Clock::now();
@@ -236,7 +236,7 @@ ConfigResult run_config(const char* label,
     s.executed_pairs = incr_report.executed_pairs;
     s.reused_pairs = incr_report.reused_pairs;
     s.discovery_reused = incr_report.discovery_reused;
-    s.identical = rounds_identical(full_report.round, incr_report.round);
+    s.identical = rounds_identical(full_round.round, incr_report.round);
     result.samples.push_back(s);
 
     result.all_identical = result.all_identical && s.identical;

@@ -250,7 +250,7 @@ int main() {
   const double cold_publish_s = seconds_since(cold_start);
   std::vector<double> steady_s;
   for (int day = 1; day <= kSteadyPublishes; ++day) {
-    pub.advance_to(date + day, incremental::make_vrp_installer(true, nullptr));
+    pub.advance_to(date + day, incremental::make_vrp_installer(nullptr));
     const auto start = Clock::now();
     snapshot::EpochRef epoch = pub.publish();
     steady_s.push_back(seconds_since(start));

@@ -43,8 +43,10 @@ rovista_bench(bench_parallel_round)
 rovista_bench(bench_snapshot)
 target_link_libraries(bench_snapshot PRIVATE rovista_replica_oracle)
 rovista_bench(bench_incremental_round)
+target_link_libraries(bench_incremental_round PRIVATE rovista_series_oracle)
 rovista_bench(bench_checkpoint)
 rovista_bench(bench_faults)
+target_link_libraries(bench_faults PRIVATE rovista_series_oracle)
 rovista_bench(bench_ablation_detection)
 rovista_bench(bench_ablation_tnode_depletion)
 rovista_bench(bench_ablation_rov_modes)

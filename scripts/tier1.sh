@@ -21,19 +21,24 @@
 #      resumed from the older slot at a different thread count, must
 #      publish CSVs byte-identical to an uninterrupted run, and so must
 #      `analyze --publish` of the resumed archive,
-#   6. the same crash/resume plus an incremental-vs-full byte-diff on a
-#      SLURM-policy series (--slurm-fraction): delta installs must run
-#      through the per-view dirty-set path of apply_vrp_delta, and the
-#      published CSVs may not depend on incremental mode, thread count,
-#      or where the series was interrupted; the series passes
-#      --checkpoint-dir alone, so its archive lives in the checkpoint
-#      directory, and `analyze --publish` of that archive must match too,
+#   6. the same crash/resume on a SLURM-policy series
+#      (--slurm-fraction): delta installs run through the per-view
+#      dirty-set path of apply_vrp_delta, and the published CSVs may not
+#      depend on thread count or where the series was interrupted; the
+#      series passes --checkpoint-dir alone, so its archive lives in the
+#      checkpoint directory, and `analyze --publish` of that archive
+#      must match too (that the same 6-round series publishes the bytes
+#      of a from-scratch recompute is checked in ctest by
+#      SlurmIncrementalRound.SixRoundSeriesMatchesOracle, which the ASan
+#      stage runs),
 #   7. the same contract under fault injection (--rp-failure-rate /
 #      --rp-divergence-fraction / --rtr-drop-rate): kill mid-series,
-#      resume at a different thread count, and byte-diff against both an
-#      uninterrupted incremental run and a full recompute, and
-#      `analyze --publish` of the archive in the checkpoint directory
-#      against the uninterrupted run,
+#      resume at a different thread count, and byte-diff against an
+#      uninterrupted run, and `analyze --publish` of the archive in the
+#      checkpoint directory against the uninterrupted run (the
+#      from-scratch byte-diff, degradation.csv included, is
+#      FaultedIncrementalRound.SixRoundSeriesMatchesOracle, run by the
+#      ASan fault stage),
 #   8. TSan epoch-snapshot stress: multi-seed readers-vs-installer
 #      harness (reader threads pinned to an epoch across >= 3
 #      concurrent publishes, including a zero-VRP-delta fault-window
@@ -57,17 +62,21 @@
 #      plus bench_analytics --smoke under a wall-clock ceiling with its
 #      streaming-vs-store identity gates green ("ok": true),
 #  13. CLI refusals: `loadgen --reach-fraction` above 0 without
-#      --reach-dst, any flag a subcommand does not accept, a malformed
-#      number (query and analyze included), --resume or
+#      --reach-dst, any flag a subcommand does not accept (the removed
+#      --incremental included), a malformed number (query and analyze
+#      included), a missing required flag, a zero --interval-days or
+#      serve --workers, a loadgen --port outside 1..65535, --resume or
 #      --checkpoint-every without --checkpoint-dir, and a
 #      --checkpoint-every outside [1, 2^31-1] exit 2 with a one-line
 #      error (stage 1b),
 #  14. steady-state daily series: 300 daily rounds on the small world
 #      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
-#      its newest checkpoint slot at most 20,000 bytes (the checkpoint
-#      names an archive prefix, so it does not grow with the rounds), and
-#      its first 60 rounds' published CSVs byte-identical to the same 60
-#      rounds under --incremental off.
+#      and its newest checkpoint slot at most 20,000 bytes (the
+#      checkpoint names an archive prefix, so it does not grow with the
+#      rounds). That the series' first 60 rounds publish the bytes of a
+#      from-scratch recompute is checked in ctest by
+#      IncrementalRound.DailySeriesMatchesOracle, which the ASan stage
+#      runs.
 #
 # Every stage runs under its own timeout and the script fails fast: the
 # first stage to fail (or hang past its budget) stops the run with a
@@ -127,7 +136,7 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, checkpoint flags without --checkpoint-dir, out-of-range --checkpoint-every)"
+stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, missing required flags, zero or out-of-range counts, checkpoint flags without --checkpoint-dir, out-of-range --checkpoint-every)"
 # Each is refused before any world is built or connection attempted.
 refuse() {
   local status=0
@@ -155,6 +164,21 @@ refuse analyze --archive "$DOCS_TMP" --query series
 refuse longitudinal --rounds 2 --scale huge
 refuse serve --rounds 1 --port 70000
 refuse measure --out "$DOCS_TMP/m" --topology bogus
+refuse longitudinal --rounds 2 --incremental off
+# A required flag missing, or a count that would silently run as 1.
+refuse measure --seed 1
+refuse query --asn 129
+refuse audit --seed 1
+refuse analyze --query info
+refuse checkpoint inspect
+refuse feedcheck --record "$DOCS_TMP/record.csv"
+refuse feedcheck --published "$DOCS_TMP"
+refuse loadgen --requests 10
+refuse loadgen --port 0
+refuse loadgen --port 70000
+refuse longitudinal --rounds 2 --interval-days 0
+refuse serve --rounds 1 --interval-days 0
+refuse serve --rounds 1 --workers 0
 # 0, or a value the engine's int cannot hold, would write no periodic
 # checkpoint at all.
 for every in 0 3000000000; do
@@ -275,15 +299,14 @@ t 300 "$ACLI" feedcheck --record "$SERVE_DIR/burst2.csv" \
 # Demand-warmed epochs: a steady-state daily round re-converges only
 # the prefixes its day erased, so 300 rounds with checkpoint and archive
 # writes fit a 10 s ceiling (when every publish re-converged every
-# prefix they took 14-20 s on a 4-core host). The fast path may not
-# change a byte: its first 60 rounds must publish what a full recompute
-# publishes.
-stage "steady-state daily series (wall-clock ceiling + full-recompute byte-diff)"
+# prefix they took 14-20 s on a 4-core host). That the fast path changes
+# no byte is IncrementalRound.DailySeriesMatchesOracle's job (stage 1).
+stage "steady-state daily series (wall-clock ceiling + checkpoint size cap)"
 SS="$CK_TMP/steady"
 t0="$(date +%s%N)"
 t 120 "$CLI" longitudinal --scale small --seed 3 --rounds 300 \
   --interval-days 1 --threads 4 --checkpoint-dir "$SS/ck" \
-  --archive "$SS/archive" --publish "$SS/incr" >/dev/null
+  --archive "$SS/archive" --publish "$SS/published" >/dev/null
 ms=$(( ($(date +%s%N) - t0) / 1000000 ))
 if [ "$ms" -gt 10000 ]; then
   echo "300-round daily series took ${ms} ms (ceiling 10000 ms)" >&2
@@ -296,21 +319,6 @@ newest="$(awk '/^resume takes slot/ {print $5}' "$SS/inspect.txt")"
 if [ ! -s "$newest" ] || [ "$(stat -c %s "$newest")" -gt 20000 ]; then
   echo "newest checkpoint slot of the 300-round series is over 20000 bytes" >&2
   cat "$SS/inspect.txt" >&2
-  exit 1
-fi
-t 600 "$CLI" longitudinal --scale small --seed 3 --rounds 60 \
-  --interval-days 1 --threads 4 --incremental off \
-  --publish "$SS/full" >/dev/null
-full_rounds=0
-for f in "$SS/full"/scores-*.csv; do
-  cmp -s "$f" "$SS/incr/$(basename "$f")" || {
-    echo "steady-state series diverged from full recompute on $(basename "$f")" >&2
-    exit 1
-  }
-  full_rounds=$((full_rounds + 1))
-done
-if [ "$full_rounds" -ne 60 ]; then
-  echo "full-recompute series published $full_rounds rounds, want 60" >&2
   exit 1
 fi
 
@@ -376,9 +384,9 @@ grep -q '"ok": true' "$CK_TMP/bench_analytics_smoke.json" || {
   exit 1
 }
 
-# SLURM-policy series: crash/resume and incremental-vs-full byte-identity
-# with local exceptions in play.
-stage "SLURM crash/resume + incremental-vs-full byte-diff"
+# SLURM-policy series: crash/resume byte-identity with local exceptions
+# in play.
+stage "SLURM crash/resume byte-diff"
 status=0
 t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
   --scale small --slurm-fraction 0.35 --checkpoint-dir "$CK_TMP/slurm-ck" \
@@ -393,9 +401,6 @@ t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
 t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
   --scale small --slurm-fraction 0.35 --publish "$CK_TMP/slurm-incr" \
   >/dev/null
-t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small --slurm-fraction 0.35 --incremental off \
-  --publish "$CK_TMP/slurm-full" >/dev/null
 diff -r "$CK_TMP/slurm-resumed" "$CK_TMP/slurm-incr" >/dev/null || {
   echo "SLURM resumed series published different CSV bytes" >&2
   exit 1
@@ -407,17 +412,12 @@ diff -r "$CK_TMP/slurm-analyze" "$CK_TMP/slurm-incr" >/dev/null || {
   echo "the SLURM series' archive published different CSV bytes" >&2
   exit 1
 }
-diff -r "$CK_TMP/slurm-incr" "$CK_TMP/slurm-full" >/dev/null || {
-  echo "SLURM incremental series diverged from full recompute" >&2
-  exit 1
-}
 
 # Fault-injected series: the checkpoint lands mid-failure-window (the
 # RVCP container with its FAULTS section), the resume replays the same
-# fault world,
-# and neither incremental mode, thread count, nor the interruption point
-# may change a published byte — degradation.csv included.
-stage "fault-injection crash/resume + incremental-vs-full byte-diff"
+# fault world, and neither thread count nor the interruption point may
+# change a published byte — degradation.csv included.
+stage "fault-injection crash/resume byte-diff"
 FAULT_KNOBS="--rp-failure-rate 0.3 --rp-divergence-fraction 0.25 \
   --rtr-drop-rate 0.3"
 status=0
@@ -437,10 +437,6 @@ t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
 # shellcheck disable=SC2086
 t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
   --scale small $FAULT_KNOBS --publish "$CK_TMP/fault-incr" >/dev/null
-# shellcheck disable=SC2086
-t 900 "$CLI" longitudinal --seed 11 --rounds 6 --interval-days 20 \
-  --scale small $FAULT_KNOBS --incremental off \
-  --publish "$CK_TMP/fault-full" >/dev/null
 if [ ! -s "$CK_TMP/fault-incr/degradation.csv" ]; then
   echo "faulted series published no degradation.csv" >&2
   exit 1
@@ -453,10 +449,6 @@ t 300 "$CLI" analyze --archive "$CK_TMP/fault-ck" \
   --publish "$CK_TMP/fault-analyze" >/dev/null
 diff -r "$CK_TMP/fault-analyze" "$CK_TMP/fault-incr" >/dev/null || {
   echo "the faulted series' archive published different CSV bytes" >&2
-  exit 1
-}
-diff -r "$CK_TMP/fault-incr" "$CK_TMP/fault-full" >/dev/null || {
-  echo "faulted incremental series diverged from full recompute" >&2
   exit 1
 }
 

@@ -101,7 +101,8 @@ std::optional<std::vector<std::pair<core::Asn, double>>> latest_scores(
     const std::string& directory, std::string* error) {
   // Frames arrive in date order, so the last value seen per AS is its
   // most recent — the same tie-break (same-date re-record wins) as
-  // LongitudinalStore::latest_.
+  // LongitudinalStore::latest_score, which reads the last entry of the
+  // AS's series.
   std::map<core::Asn, double> latest;
   bool ok = stream_frames(directory, error, [&](const RvlaFrame& frame) {
     for (std::size_t i = 0; i < frame.asns.size(); ++i) {

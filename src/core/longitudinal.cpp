@@ -6,14 +6,7 @@ namespace rovista::core {
 
 void LongitudinalStore::record(Date date, std::span<const AsScore> scores) {
   for (const AsScore& s : scores) {
-    std::map<Date, double>& series = by_as_[s.asn];
-    const auto existing = series.find(date);
-    const bool overwrite = existing != series.end();
-    const double old_score = overwrite ? existing->second : 0.0;
-    const auto it = overwrite
-                        ? (existing->second = s.score, existing)
-                        : series.emplace(date, s.score).first;
-    if (!overwrite) {
+    if (by_as_[s.asn].insert_or_assign(date, s.score).second) {
       // First measurement of this (AS, date): insert at the sorted
       // position. Re-records must not grow the roster — the AS is
       // already listed for the date.
@@ -21,37 +14,6 @@ void LongitudinalStore::record(Date date, std::span<const AsScore> scores) {
       roster.insert(std::lower_bound(roster.begin(), roster.end(), s.asn),
                     s.asn);
     }
-
-    const auto latest = latest_.find(s.asn);
-    if (latest == latest_.end() || date >= latest->second.first) {
-      latest_[s.asn] = {date, s.score};
-    }
-
-    std::vector<double>& sorted = by_date_sorted_[date];
-    if (overwrite) {
-      const auto pos =
-          std::lower_bound(sorted.begin(), sorted.end(), old_score);
-      if (pos != sorted.end() && *pos == old_score) sorted.erase(pos);
-    }
-    sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), s.score),
-                  s.score);
-
-    // Re-derive the (at most two) consecutive pairs the insert changed.
-    std::map<Date, std::pair<double, double>>& edges = rising_[s.asn];
-    const auto refresh_edge = [&](std::map<Date, double>::iterator to) {
-      if (to == series.end() || to == series.begin()) return;
-      const auto from = std::prev(to);
-      if (to->second > from->second) {
-        edges[to->first] = {from->second, to->second};
-      } else {
-        edges.erase(to->first);
-      }
-    };
-    refresh_edge(it);
-    refresh_edge(std::next(it));
-    // Never keep an empty per-AS edge map: a rebuild from by_as_ would
-    // not produce one, and index_divergence() compares them exactly.
-    if (edges.empty()) rising_.erase(s.asn);
   }
 }
 
@@ -59,37 +21,6 @@ std::vector<Asn> LongitudinalStore::ases_on(Date date) const {
   const auto it = by_date_.find(date);
   if (it == by_date_.end()) return {};
   return it->second;
-}
-
-std::string LongitudinalStore::index_divergence() const {
-  std::map<Date, std::vector<Asn>> by_date;
-  std::map<Asn, std::pair<Date, double>> latest;
-  std::map<Date, std::vector<double>> by_date_sorted;
-  std::map<Asn, std::map<Date, std::pair<double, double>>> rising;
-  for (const auto& [asn, series] : by_as_) {
-    bool have_prev = false;
-    double prev = 0.0;
-    for (const auto& [date, score] : series) {
-      by_date[date].push_back(asn);  // ascending: outer loop is by ASN
-      by_date_sorted[date].push_back(score);
-      if (have_prev && score > prev) rising[asn][date] = {prev, score};
-      prev = score;
-      have_prev = true;
-    }
-    if (!series.empty()) {
-      latest[asn] = {series.rbegin()->first, series.rbegin()->second};
-    }
-  }
-  for (auto& [date, scores] : by_date_sorted) {
-    std::sort(scores.begin(), scores.end());
-  }
-  if (by_date != by_date_) return "by_date_ diverges from rebuild";
-  if (latest != latest_) return "latest_ diverges from rebuild";
-  if (by_date_sorted != by_date_sorted_) {
-    return "by_date_sorted_ diverges from rebuild";
-  }
-  if (rising != rising_) return "rising_ diverges from rebuild";
-  return {};
 }
 
 std::vector<Date> LongitudinalStore::dates() const {
@@ -107,9 +38,9 @@ std::vector<Asn> LongitudinalStore::ases() const {
 }
 
 std::optional<double> LongitudinalStore::latest_score(Asn asn) const {
-  const auto it = latest_.find(asn);
-  if (it == latest_.end()) return std::nullopt;
-  return it->second.second;
+  const auto it = by_as_.find(asn);
+  if (it == by_as_.end()) return std::nullopt;
+  return it->second.rbegin()->second;  // record() never leaves one empty
 }
 
 std::optional<double> LongitudinalStore::score_on(Asn asn, Date date) const {
@@ -131,39 +62,27 @@ std::vector<std::pair<Date, double>> LongitudinalStore::series(
 
 std::vector<double> LongitudinalStore::latest_scores() const {
   std::vector<double> out;
-  out.reserve(latest_.size());
-  for (const auto& [asn, entry] : latest_) out.push_back(entry.second);
+  out.reserve(by_as_.size());
+  for (const auto& [asn, series] : by_as_) {
+    out.push_back(series.rbegin()->second);
+  }
   return out;
 }
 
 double LongitudinalStore::fraction_at_least(Date date,
                                             double threshold) const {
-  const auto it = by_date_sorted_.find(date);
-  if (it == by_date_sorted_.end() || it->second.empty()) return 0.0;
-  const std::vector<double>& sorted = it->second;
-  const auto first_hit =
-      std::lower_bound(sorted.begin(), sorted.end(), threshold);
-  return static_cast<double>(sorted.end() - first_hit) /
-         static_cast<double>(sorted.size());
+  const auto it = by_date_.find(date);
+  if (it == by_date_.end() || it->second.empty()) return 0.0;
+  std::size_t hits = 0;
+  for (const Asn asn : it->second) {
+    if (by_as_.at(asn).at(date) >= threshold) ++hits;
+  }
+  return static_cast<double>(hits) / static_cast<double>(it->second.size());
 }
 
 std::vector<std::pair<Asn, Date>> LongitudinalStore::score_jumps(
     double low, double high) const {
   std::vector<std::pair<Asn, Date>> out;
-  if (low < high) {
-    // Any qualifying pair has prev <= low < high <= score, i.e. strictly
-    // rises — scan only the rising-pair index.
-    for (const auto& [asn, edges] : rising_) {
-      for (const auto& [date, scores] : edges) {
-        if (scores.first <= low && scores.second >= high) {
-          out.emplace_back(asn, date);
-        }
-      }
-    }
-    return out;
-  }
-  // Degenerate thresholds (low >= high) can match flat or falling pairs;
-  // keep the exact walk.
   for (const auto& [asn, series] : by_as_) {
     double prev = -1.0;
     bool have_prev = false;

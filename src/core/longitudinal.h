@@ -11,7 +11,6 @@
 #include <map>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/scoring.h"
@@ -67,14 +66,6 @@ class LongitudinalStore {
   /// (AS, date) does not grow the roster.
   std::vector<Asn> ases_on(Date date) const;
 
-  /// Diagnostic: rebuild every query index (`latest_`,
-  /// `by_date_sorted_`, `rising_`, `by_date_`) from `by_as_` by brute
-  /// force and compare with the incrementally-maintained state. Returns
-  /// an empty string when they agree, else a description of the first
-  /// diverging index. Used by the re-record battery in
-  /// tests/test_longitudinal_index.cpp.
-  std::string index_divergence() const;
-
   /// Latest score for an AS (most recent date with a measurement).
   std::optional<double> latest_score(Asn asn) const;
 
@@ -122,25 +113,6 @@ class LongitudinalStore {
   // re-records replace the score without touching the roster.
   std::map<Date, std::vector<Asn>> by_date_;
   std::map<Date, RoundHealth> health_;  // fault-injection rounds only
-
-  // Query indexes, maintained by record(). The paper-scale store holds
-  // ~28k ASes × ~600 dates; the dashboard queries below used to walk all
-  // of it per call. Each index preserves the exact answers (and output
-  // order) of the brute-force walk over by_as_ — pinned by
-  // tests/test_longitudinal_index.cpp.
-  //
-  // Per AS: its most recent (date, score).
-  std::map<Asn, std::pair<Date, double>> latest_;
-  // Per date: the scores measured that date, kept sorted (one entry per
-  // AS; re-recording an (AS, date) replaces the old value).
-  std::map<Date, std::vector<double>> by_date_sorted_;
-  // Per AS: the strictly-rising consecutive pairs of its series, keyed
-  // by the later date, value = (previous score, score). For low < high a
-  // jump pair satisfies prev <= low < high <= score, i.e. it rises —
-  // so score_jumps only scans these; low >= high falls back to the walk.
-  // ASes with no rising pair have no entry at all (never an empty map),
-  // so the structure equals a brute-force rebuild from by_as_.
-  std::map<Asn, std::map<Date, std::pair<double, double>>> rising_;
 };
 
 }  // namespace rovista::core

@@ -114,10 +114,9 @@ void digest_rovista(persist::ByteWriter& w, const core::RovistaConfig& c) {
 
 }  // namespace
 
-scenario::VrpInstaller make_vrp_installer(bool incremental,
-                                          RoundReport* report) {
-  return [incremental, report](bgp::RoutingSystem& routing,
-                               const rpki::VrpSet& prev, rpki::VrpSet next) {
+scenario::VrpInstaller make_vrp_installer(RoundReport* report) {
+  return [report](bgp::RoutingSystem& routing, const rpki::VrpSet& prev,
+                  rpki::VrpSet next) {
     const VrpDelta delta = VrpDeltaComputer::diff(prev, next);
     const DirtyPrefixTracker tracker(delta);
     const std::size_t touched = tracker.touched_announced(routing);
@@ -129,12 +128,8 @@ scenario::VrpInstaller make_vrp_installer(bool incremental,
       report->touched_announced = touched;
       report->dirty_prefix_count = dirty.size();
     }
-    if (incremental) {
-      routing.apply_vrp_delta(std::move(next), dirty, delta.announced,
-                              delta.withdrawn);
-    } else {
-      routing.set_vrps(std::move(next));
-    }
+    routing.apply_vrp_delta(std::move(next), dirty, delta.announced,
+                            delta.withdrawn);
   };
 }
 
@@ -174,7 +169,9 @@ std::uint64_t IncrementalLongitudinalRunner::config_digest(
   digest_params(w, config.params);
   if (faulted) digest_fault_params(w, config.params.faults);
   digest_rovista(w, config.rovista);
-  w.u8(config.incremental ? 1 : 0);
+  // The retired engine-mode byte, fed as its constant 1 so that every
+  // digest (and with it every checkpoint) keeps its bytes.
+  w.u8(1);
   return persist::fnv1a64(w.data());
 }
 
@@ -183,7 +180,6 @@ persist::CheckpointState IncrementalLongitudinalRunner::checkpoint_state()
   persist::CheckpointState state;
   state.config_digest = config_digest(config_);
   state.user_tag = config_.checkpoint_user_tag;
-  state.incremental = config_.incremental;
   if (archive_writer_.has_value()) {
     const analytics::RvlaHead& head = archive_writer_->head();
     state.archive = {head.frame_count, head.data_size, archive_writer_->crc()};
@@ -224,11 +220,6 @@ bool IncrementalLongitudinalRunner::restore(
     util::log(LogLevel::kWarn,
               "checkpoint: series tag mismatch (checkpoint belongs to a "
               "differently-shaped series) — cold start");
-    return false;
-  }
-  if (state.incremental != config_.incremental) {
-    util::log(LogLevel::kWarn,
-              "checkpoint: incremental-mode mismatch — cold start");
     return false;
   }
   if (state.faulted != config_.params.faults.enabled()) {
@@ -296,7 +287,7 @@ bool IncrementalLongitudinalRunner::restore(
   // only BGP/RP work, no probing.
   auto world = std::make_unique<scenario::Scenario>(config_.params);
   for (const Date date : dates) {
-    world->advance_to(date, make_vrp_installer(config_.incremental, nullptr));
+    world->advance_to(date, make_vrp_installer(nullptr));
   }
 
   // Oracle check: the replayed relying-party output must equal the
@@ -448,8 +439,8 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
 
   // 1. Advance the tracking world, installing the new VRPs by delta
   // (the shared installer also fills the delta fields of the report).
-  const scenario::AdvanceStats stats = publisher_->advance_to(
-      date, make_vrp_installer(config_.incremental, &report));
+  const scenario::AdvanceStats stats =
+      publisher_->advance_to(date, make_vrp_installer(&report));
   report.events = stats.events();
 
   // The round's epoch: one immutable snapshot of the fully-advanced
@@ -477,12 +468,10 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   // matters because a failure window opening or stale data crossing the
   // expire threshold flips reference-AS ROV behaviour with a VRP delta
   // of exactly zero.
-  const bool incremental = config_.incremental;
   const std::uint64_t views_digest = world().effective_views_digest();
-  const bool can_reuse_discovery = incremental && completed_rounds_ > 0 &&
-                                   report.events == 0 &&
-                                   report.touched_announced == 0 &&
-                                   views_digest == views_digest_;
+  const bool can_reuse_discovery =
+      completed_rounds_ > 0 && report.events == 0 &&
+      report.touched_announced == 0 && views_digest == views_digest_;
   if (!can_reuse_discovery) {
     snapshot::RoundInputs inputs =
         snapshot::acquire_inputs_on_epoch(world(), epoch, config_.rovista);
@@ -501,15 +490,6 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
       snapshot::make_reader_factory(epoch),
       {config_.rovista.experiment, config_.rovista.scoring,
        config_.rovista.num_threads});
-
-  if (!incremental) {
-    report.matrix_reset = true;
-    report.dirty_rows = v_count;
-    report.executed_pairs = report.total_pairs;
-    report.round = runner.run(vvps_, tnodes_);
-    finish_round(date, report.round.scores, report.health);
-    return report;
-  }
 
   // 3. Fingerprint every pair on the tracking world and find dirty rows.
   // The memo computes each distinct word stream once; a pair whose

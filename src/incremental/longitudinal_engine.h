@@ -31,8 +31,9 @@
 // Contract: every round's MeasurementRound is bit-identical to a full
 // from-scratch recompute at that date, for any thread count. Whenever a
 // precondition for reuse fails (lists changed, cache shape mismatch),
-// the engine falls back to the full path rather than guess — the cache
-// only ever skips work it can prove redundant. See DESIGN.md,
+// the engine re-runs that part in full rather than guess — the cache
+// only ever skips work it can prove redundant. The full recompute it is
+// held to lives only in tests/series_oracle.h. See DESIGN.md,
 // "Incremental longitudinal engine".
 #pragma once
 
@@ -62,9 +63,6 @@ using util::Date;
 struct IncrementalConfig {
   scenario::ScenarioParams params;
   core::RovistaConfig rovista;
-  /// false → every round is a plain full recompute (baseline mode; the
-  /// bench and the CLI's --incremental flag toggle this).
-  bool incremental = true;
 
   /// Non-empty → run_round writes a crash-safe checkpoint (RVCP format,
   /// docs/FORMATS.md) under this directory every `checkpoint_every`
@@ -123,11 +121,10 @@ struct RoundReport {
 /// The one VRP install path, shared by run_round and checkpoint replay:
 /// resume bit-identity rests on the replayed world evolving through the
 /// very same delta/dirty computation and install call as the original
-/// process did. `incremental` installs by apply_vrp_delta (only dirty
-/// prefixes lose their converged routes), otherwise by set_vrps. Fills
-/// the delta fields of `report` when non-null (replay passes none).
-scenario::VrpInstaller make_vrp_installer(bool incremental,
-                                          RoundReport* report);
+/// process did. Installs by apply_vrp_delta, so only dirty prefixes lose
+/// their converged routes. Fills the delta fields of `report` when
+/// non-null (replay passes none).
+scenario::VrpInstaller make_vrp_installer(RoundReport* report);
 
 class IncrementalLongitudinalRunner {
  public:
@@ -228,9 +225,9 @@ class IncrementalLongitudinalRunner {
   // restore() swaps in a replayed world wholesale.
   std::unique_ptr<snapshot::EpochPublisher> publisher_;
   ScoreCache cache_;
-  // Word streams of the last incremental round's fingerprints, in step
-  // with cache_: every entry holds the fingerprint these streams hash
-  // to. Not checkpointed; restore() empties it.
+  // Word streams of the last round's fingerprints, in step with
+  // cache_: every entry holds the fingerprint these streams hash to.
+  // Not checkpointed; restore() empties it.
   FingerprintMemo memo_;
   core::LongitudinalStore store_;
   std::vector<scan::Vvp> vvps_;

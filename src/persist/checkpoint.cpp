@@ -33,7 +33,7 @@ std::vector<std::uint8_t> encode_meta(const CheckpointState& s) {
   ByteWriter w;
   w.u64(s.config_digest);
   w.u64(s.user_tag);
-  w.u8(s.incremental ? 1 : 0);
+  w.u8(1);  // mode byte: 1 = incremental, the only engine (FORMATS.md §1.3)
   return w.take();
 }
 
@@ -114,12 +114,15 @@ std::vector<std::uint8_t> encode_faults(const CheckpointState& s) {
 // allocation, and every section must consume its payload exactly.
 
 bool decode_meta(ByteReader& r, CheckpointState& s, std::string* error) {
-  std::uint8_t incremental = 0;
-  if (!r.u64(s.config_digest) || !r.u64(s.user_tag) || !r.u8(incremental)) {
+  std::uint8_t mode = 0;
+  if (!r.u64(s.config_digest) || !r.u64(s.user_tag) || !r.u8(mode)) {
     return fail(error, "META: truncated");
   }
-  if (incremental > 1) return fail(error, "META: bad incremental flag");
-  s.incremental = incremental == 1;
+  if (mode != 1) {
+    return fail(error,
+                "META: mode byte is not 1 (0 marks a full-recompute "
+                "checkpoint): not resumable by this build (cold start)");
+  }
   return true;
 }
 

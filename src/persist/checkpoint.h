@@ -78,7 +78,6 @@ struct CheckpointState {
   // META — refusal guards, checked before anything is restored.
   std::uint64_t config_digest = 0;  // engine config (see config_digest())
   std::uint64_t user_tag = 0;       // embedder-chosen (CLI: series args)
-  bool incremental = true;
 
   // CURSOR — where the round history lives: the archive prefix whose
   // frames rebuild the store and give the world replay its dates.

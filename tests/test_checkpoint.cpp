@@ -8,7 +8,8 @@
 //    byte, which covers every section boundary), every single-byte
 //    corruption is rejected (header, table and payload CRCs leave no
 //    unprotected byte), per-section CRC diagnostics name the section,
-//    and the version 1/2 images of earlier builds are refused,
+//    and the version 1/2 images of earlier builds are refused, as is
+//    the version 3 image of a full-recompute series (META mode byte 0),
 //  - crash-safe files: write/load through the two checkpoint slots,
 //    fallback to the older slot when the newest is corrupt,
 //    corrupted-everything → logged nullopt (the crash-window battery of
@@ -19,8 +20,8 @@
 //    published CSV bytes and archive bytes), an archive holding frames
 //    past the checkpoint is cut back to it, the checkpoint stays the
 //    same size as rounds accumulate, and every refusal path (digest /
-//    tag / mode mismatch, corrupt file, archive missing, short or of
-//    another series, archive that cannot be created) degrades to a
+//    tag mismatch, corrupt file, archive missing, short or of another
+//    series, archive that cannot be created) degrades to a
 //    logged cold start that touches neither the runner nor the
 //    archive.
 //
@@ -239,7 +240,6 @@ persist::CheckpointState sample_state() {
   persist::CheckpointState s;
   s.config_digest = 0x1122334455667788ull;
   s.user_tag = 0x99AABBCCDDEEFF00ull;
-  s.incremental = true;
   s.archive = {2, 546, 0x39854C05u};
 
   scan::Vvp v;
@@ -277,7 +277,6 @@ void expect_states_equal(const persist::CheckpointState& a,
                          const persist::CheckpointState& b) {
   EXPECT_EQ(a.config_digest, b.config_digest);
   EXPECT_EQ(a.user_tag, b.user_tag);
-  EXPECT_EQ(a.incremental, b.incremental);
   EXPECT_EQ(a.archive, b.archive);
   ASSERT_EQ(a.vvps.size(), b.vvps.size());
   for (std::size_t i = 0; i < a.vvps.size(); ++i) {
@@ -374,6 +373,46 @@ TEST(Checkpoint, RejectsBadMagicVersionAndTrailingBytes) {
   bad.push_back(0);
   EXPECT_FALSE(persist::decode_checkpoint(bad, &error).has_value());
   EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+}
+
+// META's last byte once said which engine wrote the checkpoint: 1 for
+// the incremental runner, 0 for a per-round full recompute. Only the
+// incremental engine remains, and a mode-0 image — here the newest slot
+// payload of a 2-round `longitudinal --scale small --seed 11
+// --interval-days 20 --incremental off` series — is refused by name,
+// though its every CRC holds. In a checkpoint slot it is a logged cold
+// start.
+TEST(Checkpoint, FullRecomputeImageIsRefused) {
+  const auto image =
+      read_bytes(fs::path(ROVISTA_TEST_DATA_DIR) / "checkpoint_v3_full.rvcp");
+  ASSERT_FALSE(image.empty());
+  std::string error;
+  EXPECT_FALSE(persist::decode_checkpoint(image, &error).has_value());
+  EXPECT_NE(error.find("META: mode byte"), std::string::npos) << error;
+  const auto info = persist::inspect_checkpoint(image);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->format_version, persist::kFormatVersion);
+  EXPECT_TRUE(info->table_crc_ok);
+  ASSERT_EQ(info->sections.size(), 5u);
+  for (const auto& s : info->sections) {
+    EXPECT_TRUE(s.crc_ok) << persist::section_name(s.id);
+  }
+  EXPECT_FALSE(info->decodes);
+
+  TempDir dir;
+  fs::create_directories(dir.path);
+  write_bytes(persist::CheckpointPaths::in(dir.path.string()).current,
+              persist::encode_slot(1, image));
+  incremental::IncrementalConfig config;
+  config.params = testfx::round_params();
+  config.rovista = testfx::round_config();
+  config.checkpoint_dir = dir.path.string();
+  incremental::IncrementalLongitudinalRunner runner(config);
+  const std::string log =
+      capture_log([&] { EXPECT_FALSE(runner.resume_from_checkpoint()); });
+  EXPECT_NE(log.find("META: mode byte"), std::string::npos) << log;
+  EXPECT_NE(log.find("cold start"), std::string::npos) << log;
+  EXPECT_EQ(runner.completed_rounds(), 0u);
 }
 
 TEST(Checkpoint, EveryTruncationIsRejected) {
@@ -539,7 +578,6 @@ incremental::IncrementalConfig engine_config(int num_threads) {
   config.params = testfx::round_params();
   config.rovista = testfx::round_config();
   config.rovista.num_threads = num_threads;
-  config.incremental = true;
   return config;
 }
 
@@ -772,16 +810,6 @@ TEST_F(CheckpointResume, UserTagMismatchIsLoggedColdStart) {
     EXPECT_FALSE(runner.restore(*after_two_));
   });
   EXPECT_NE(log.find("tag mismatch"), std::string::npos) << log;
-}
-
-TEST_F(CheckpointResume, ModeMismatchIsLoggedColdStart) {
-  incremental::IncrementalConfig full = engine_config(0);
-  full.incremental = false;
-  incremental::IncrementalLongitudinalRunner runner(full);
-  std::string log = capture_log([&] {
-    EXPECT_FALSE(runner.restore(*after_two_));
-  });
-  EXPECT_NE(log.find("mismatch"), std::string::npos) << log;
 }
 
 /// Restore `state` over the archive in `archive`, which must be refused

@@ -26,6 +26,7 @@
 #include "rpki/relying_party.h"
 #include "round_fixture.h"
 #include "scenario/scenario.h"
+#include "series_oracle.h"
 #include "util/rng.h"
 
 namespace {
@@ -366,19 +367,19 @@ TEST(FaultChainScenario, SteppedAndJumpedWorldsConverge) {
 //
 // Same contract as the SLURM suite in test_incremental_round.cpp, under
 // a strictly harder world: per-AS effective views that change with every
-// round as failure windows open and close.
+// round as failure windows open and close. The reference is the series
+// oracle's from-scratch recompute (series_oracle.h), round health
+// included.
 
 std::vector<Date> fault_round_dates(const scenario::ScenarioParams& params) {
   return {params.start + 150, params.start + 171, params.start + 215};
 }
 
-incremental::IncrementalConfig faulted_engine_config(bool incremental,
-                                                     int num_threads) {
+incremental::IncrementalConfig faulted_engine_config(int num_threads) {
   incremental::IncrementalConfig config;
   config.params = faulted_params();
   config.rovista = testfx::round_config();
   config.rovista.num_threads = num_threads;
-  config.incremental = incremental;
   return config;
 }
 
@@ -426,8 +427,7 @@ struct TempDir {
 /// checkpoint of it can be restored.
 incremental::IncrementalConfig archived_config(const TempDir& archive,
                                                int num_threads) {
-  incremental::IncrementalConfig config =
-      faulted_engine_config(/*incremental=*/true, num_threads);
+  incremental::IncrementalConfig config = faulted_engine_config(num_threads);
   config.archive_dir = archive.path.string();
   return config;
 }
@@ -444,103 +444,119 @@ std::map<std::string, std::string> read_dir(
   return files;
 }
 
+/// `store` must publish the very files, byte for byte, that `oracle`
+/// publishes — degradation.csv included.
+void expect_publishes_oracle_bytes(const test::SeriesOracle& oracle,
+                                   const core::LongitudinalStore& store,
+                                   const std::string& label) {
+  TempDir want;
+  TempDir got;
+  ASSERT_TRUE(oracle.publish(want.path.string()).has_value()) << label;
+  ASSERT_TRUE(core::publish_scores(store, got.path.string()).has_value())
+      << label;
+  const auto want_files = read_dir(want.path);
+  // Degraded series publish the per-round health dataset.
+  EXPECT_NE(want_files.find("degradation.csv"), want_files.end()) << label;
+  EXPECT_EQ(want_files, read_dir(got.path)) << label;
+}
+
 class FaultedIncrementalRound : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    baseline_ = new incremental::IncrementalLongitudinalRunner(
-        faulted_engine_config(/*incremental=*/false, /*num_threads=*/0));
-    baseline_rounds_ = new std::vector<incremental::RoundReport>();
-    for (const Date date : fault_round_dates(baseline_->config().params)) {
-      baseline_rounds_->push_back(baseline_->run_round(date));
+    const incremental::IncrementalConfig config = faulted_engine_config(0);
+    oracle_ = new test::SeriesOracle(config.params, config.rovista);
+    for (const Date date : fault_round_dates(config.params)) {
+      oracle_->run_round(date);
     }
   }
 
   static void TearDownTestSuite() {
-    delete baseline_rounds_;
-    delete baseline_;
-    baseline_rounds_ = nullptr;
-    baseline_ = nullptr;
+    delete oracle_;
+    oracle_ = nullptr;
   }
 
-  static void expect_incremental_matches_baseline(int num_threads) {
+  static void expect_incremental_matches_oracle(int num_threads) {
     incremental::IncrementalLongitudinalRunner runner(
-        faulted_engine_config(/*incremental=*/true, num_threads));
+        faulted_engine_config(num_threads));
     const auto dates = fault_round_dates(runner.config().params);
     for (std::size_t i = 0; i < dates.size(); ++i) {
       const incremental::RoundReport report = runner.run_round(dates[i]);
       const std::string label = "faulted " + dates[i].to_string() + " @ " +
                                 std::to_string(num_threads) + " threads";
-      expect_bit_identical((*baseline_rounds_)[i].round, report.round,
+      expect_bit_identical(oracle_->rounds()[i].round, report.round,
                            label.c_str());
-      EXPECT_EQ((*baseline_rounds_)[i].health, report.health) << label;
+      EXPECT_EQ(oracle_->rounds()[i].health, report.health) << label;
     }
   }
 
-  static incremental::IncrementalLongitudinalRunner* baseline_;
-  static std::vector<incremental::RoundReport>* baseline_rounds_;
+  static test::SeriesOracle* oracle_;
 };
 
-incremental::IncrementalLongitudinalRunner* FaultedIncrementalRound::baseline_ =
-    nullptr;
-std::vector<incremental::RoundReport>*
-    FaultedIncrementalRound::baseline_rounds_ = nullptr;
+test::SeriesOracle* FaultedIncrementalRound::oracle_ = nullptr;
 
 TEST_F(FaultedIncrementalRound, FixtureIsActuallyDegraded) {
   // The comparison would be vacuous if no round ran under degradation.
   bool any_degraded = false;
-  for (const incremental::RoundReport& report : *baseline_rounds_) {
-    EXPECT_GT(report.total_pairs, 0u);
-    if (report.health.degraded()) any_degraded = true;
+  for (const test::OracleRound& r : oracle_->rounds()) {
+    EXPECT_GT(r.vvp_count * r.tnode_count, 0u);
+    if (r.health.degraded()) any_degraded = true;
   }
   EXPECT_TRUE(any_degraded);
-  // Health lands in the store for publication.
-  EXPECT_EQ(baseline_->store().health().size(), baseline_rounds_->size());
 }
 
 TEST_F(FaultedIncrementalRound, SerialMatchesFullRecompute) {
-  expect_incremental_matches_baseline(1);
+  expect_incremental_matches_oracle(1);
 }
 
 TEST_F(FaultedIncrementalRound, TwoThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(2);
+  expect_incremental_matches_oracle(2);
 }
 
 TEST_F(FaultedIncrementalRound, FourThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(4);
+  expect_incremental_matches_oracle(4);
 }
 
 TEST_F(FaultedIncrementalRound, EightThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(8);
+  expect_incremental_matches_oracle(8);
 }
 
 TEST_F(FaultedIncrementalRound, PublishedDatasetsAreByteIdentical) {
-  incremental::IncrementalLongitudinalRunner runner(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/4));
+  incremental::IncrementalLongitudinalRunner runner(faulted_engine_config(4));
   for (const Date date : fault_round_dates(runner.config().params)) {
     runner.run_round(date);
   }
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto full_dir = tmp / "rovista_fault_test_full";
-  const auto incr_dir = tmp / "rovista_fault_test_incr";
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(incr_dir);
-  ASSERT_TRUE(core::publish_scores(baseline_->store(), full_dir.string())
-                  .has_value());
-  ASSERT_TRUE(
-      core::publish_scores(runner.store(), incr_dir.string()).has_value());
-  const auto full_files = read_dir(full_dir);
-  // Degraded series publish the per-round health dataset.
-  EXPECT_NE(full_files.find("degradation.csv"), full_files.end());
-  EXPECT_EQ(full_files, read_dir(incr_dir));
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(incr_dir);
+  expect_publishes_oracle_bytes(*oracle_, runner.store(), "faulted");
+}
+
+// `longitudinal --seed 11 --rounds 6 --interval-days 20 --scale small
+// --rp-failure-rate 0.3 --rp-divergence-fraction 0.25 --rtr-drop-rate
+// 0.3`: six rounds under heavier faults than the suite's fixture, every
+// round's observations and health, and the published dataset with its
+// degradation.csv, held to the oracle.
+TEST_F(FaultedIncrementalRound, SixRoundSeriesMatchesOracle) {
+  incremental::IncrementalConfig config = faulted_engine_config(0);
+  config.params.faults = FaultParams{};
+  config.params.faults.rp_failure_rate = 0.3;
+  config.params.faults.rp_divergence_fraction = 0.25;
+  config.params.faults.rtr_drop_rate = 0.3;
+  test::SeriesOracle oracle(config.params, config.rovista);
+  incremental::IncrementalLongitudinalRunner runner(config);
+  for (int i = 0; i < 6; ++i) {
+    const Date date = config.params.start + 20 * i;
+    const incremental::RoundReport report = runner.run_round(date);
+    const test::OracleRound& want = oracle.run_round(date);
+    const std::string label = "faulted 6 x 20 days " + date.to_string();
+    expect_bit_identical(want.round, report.round, label.c_str());
+    EXPECT_EQ(want.health, report.health) << label;
+  }
+  expect_publishes_oracle_bytes(oracle, runner.store(), "faulted 6 x 20 days");
 }
 
 TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
   // Kill after two rounds — the second sits inside active failure
   // windows — and resume in a new runner at a different thread count:
   // the final round and the whole published series must match the
-  // uninterrupted full-recompute baseline byte for byte.
+  // oracle byte for byte.
   TempDir archive;
   incremental::IncrementalLongitudinalRunner partial(
       archived_config(archive, /*num_threads=*/2));
@@ -559,22 +575,10 @@ TEST_F(FaultedIncrementalRound, CheckpointResumeMidFailureWindow) {
   ASSERT_TRUE(resumed.restore(state));
   EXPECT_EQ(resumed.completed_rounds(), 2u);
   const incremental::RoundReport last = resumed.run_round(dates[2]);
-  expect_bit_identical((*baseline_rounds_)[2].round, last.round,
+  expect_bit_identical(oracle_->rounds()[2].round, last.round,
                        "faulted resume");
-  EXPECT_EQ((*baseline_rounds_)[2].health, last.health);
-
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto full_dir = tmp / "rovista_fault_resume_full";
-  const auto res_dir = tmp / "rovista_fault_resume_incr";
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(res_dir);
-  ASSERT_TRUE(core::publish_scores(baseline_->store(), full_dir.string())
-                  .has_value());
-  ASSERT_TRUE(
-      core::publish_scores(resumed.store(), res_dir.string()).has_value());
-  EXPECT_EQ(read_dir(full_dir), read_dir(res_dir));
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(res_dir);
+  EXPECT_EQ(oracle_->rounds()[2].health, last.health);
+  expect_publishes_oracle_bytes(*oracle_, resumed.store(), "faulted resume");
 }
 
 TEST_F(FaultedIncrementalRound, CheckpointRoundTripsThroughWireFormat) {
@@ -646,21 +650,20 @@ TEST_F(FaultedIncrementalRound, RestoreRefusesForeignFaultWorlds) {
 // expire threshold. The engine's discovery-reuse fast path used to
 // condition only on (events, touched_announced) and silently reused
 // vVP/tNode lists acquired on a world whose reference-AS ROV behaviour
-// had flipped, diverging from a full recompute. A dense date walk must
+// had flipped, diverging from the oracle. A dense date walk must
 // stay bit-identical round for round, and the views-digest guard must
 // actually fire: at least one round with no events and no touched
 // prefixes still re-acquires discovery.
 TEST(FaultedIncrementalViews, ViewFlipWithZeroVrpDeltaForcesReacquisition) {
-  incremental::IncrementalLongitudinalRunner full(
-      faulted_engine_config(/*incremental=*/false, /*num_threads=*/2));
-  incremental::IncrementalLongitudinalRunner incr(
-      faulted_engine_config(/*incremental=*/true, /*num_threads=*/2));
+  const incremental::IncrementalConfig config = faulted_engine_config(2);
+  test::SeriesOracle oracle(config.params, config.rovista);
+  incremental::IncrementalLongitudinalRunner incr(config);
 
-  const Date start = full.config().params.start;
+  const Date start = config.params.start;
   bool digest_guard_fired = false;
   for (int offset = 100; offset <= 200; offset += 5) {
     const Date date = start + offset;
-    const incremental::RoundReport a = full.run_round(date);
+    const test::OracleRound& a = oracle.run_round(date);
     const incremental::RoundReport b = incr.run_round(date);
     const std::string label = "faulted dense walk " + date.to_string();
     expect_bit_identical(a.round, b.round, label.c_str());

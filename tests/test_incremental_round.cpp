@@ -1,10 +1,10 @@
 // The incremental engine's strict contract (incremental/
 // longitudinal_engine.h): every round's MeasurementRound — observations,
-// scores, counters — is bit-identical to a from-scratch full recompute
-// at that date, for any thread count, and the published CSV datasets
-// match byte for byte. Also pins that the machinery actually engages:
-// a repeated date reuses everything, and memoized pair fingerprints
-// equal a fresh recompute.
+// scores, counters — is bit-identical to the from-scratch recompute of
+// the series oracle (series_oracle.h) at that date, for any thread
+// count, and the published CSV datasets match byte for byte. Also pins
+// that the machinery actually engages: a repeated date reuses
+// everything, and memoized pair fingerprints equal a fresh recompute.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -28,6 +28,7 @@
 #include "incremental/dirty_prefix.h"
 #include "incremental/vrp_delta.h"
 #include "round_fixture.h"
+#include "series_oracle.h"
 
 namespace {
 
@@ -39,14 +40,11 @@ std::vector<util::Date> round_dates(const scenario::ScenarioParams& params) {
   return {params.start + 150, params.start + 171, params.start + 215};
 }
 
-incremental::IncrementalConfig engine_config(bool incremental,
-                                             int num_threads) {
+incremental::IncrementalConfig engine_config(int num_threads) {
   incremental::IncrementalConfig config;
   config.params = testfx::round_params();
-  const core::RovistaConfig rovista = testfx::round_config();
-  config.rovista = rovista;
+  config.rovista = testfx::round_config();
   config.rovista.num_threads = num_threads;
-  config.incremental = incremental;
   return config;
 }
 
@@ -102,102 +100,135 @@ std::map<std::string, std::string> read_dir(
   return files;
 }
 
+/// `store` must publish the very files, byte for byte, that `oracle`
+/// publishes.
+void expect_publishes_oracle_bytes(const test::SeriesOracle& oracle,
+                                   const core::LongitudinalStore& store,
+                                   const std::string& label) {
+  TempDir want;
+  TempDir got;
+  ASSERT_TRUE(oracle.publish(want.path.string()).has_value()) << label;
+  ASSERT_TRUE(core::publish_scores(store, got.path.string()).has_value())
+      << label;
+  EXPECT_EQ(read_dir(want.path), read_dir(got.path)) << label;
+}
+
+/// Run the same dated series through a runner of `config` and through
+/// the oracle, holding every round to the oracle's, then the published
+/// datasets to each other. Returns how many rounds reused discovery.
+std::size_t expect_series_matches_oracle(
+    const incremental::IncrementalConfig& config,
+    const std::vector<util::Date>& dates, const std::string& label) {
+  test::SeriesOracle oracle(config.params, config.rovista);
+  incremental::IncrementalLongitudinalRunner runner(config);
+  std::size_t reused = 0;
+  for (const util::Date date : dates) {
+    const incremental::RoundReport report = runner.run_round(date);
+    if (report.discovery_reused) ++reused;
+    const std::string round_label = label + " " + date.to_string();
+    expect_bit_identical(oracle.run_round(date).round, report.round,
+                         round_label.c_str());
+  }
+  expect_publishes_oracle_bytes(oracle, runner.store(), label);
+  return reused;
+}
+
 class IncrementalRound : public ::testing::Test {
  protected:
-  // One full-recompute baseline per date, shared across the per-thread-
+  // One oracle series over the dates, shared across the per-thread-
   // count test cases.
   static void SetUpTestSuite() {
-    baseline_ = new incremental::IncrementalLongitudinalRunner(
-        engine_config(/*incremental=*/false, /*num_threads=*/0));
-    baseline_rounds_ = new std::vector<incremental::RoundReport>();
-    for (const util::Date date : round_dates(baseline_->config().params)) {
-      baseline_rounds_->push_back(baseline_->run_round(date));
+    const incremental::IncrementalConfig config = engine_config(0);
+    oracle_ = new test::SeriesOracle(config.params, config.rovista);
+    for (const util::Date date : round_dates(config.params)) {
+      oracle_->run_round(date);
     }
   }
 
   static void TearDownTestSuite() {
-    delete baseline_rounds_;
-    delete baseline_;
-    baseline_rounds_ = nullptr;
-    baseline_ = nullptr;
+    delete oracle_;
+    oracle_ = nullptr;
   }
 
-  static void expect_incremental_matches_baseline(int num_threads) {
+  static void expect_incremental_matches_oracle(int num_threads) {
     incremental::IncrementalLongitudinalRunner runner(
-        engine_config(/*incremental=*/true, num_threads));
+        engine_config(num_threads));
     const auto dates = round_dates(runner.config().params);
     for (std::size_t i = 0; i < dates.size(); ++i) {
       const incremental::RoundReport report = runner.run_round(dates[i]);
       const std::string label = dates[i].to_string() + " @ " +
                                 std::to_string(num_threads) + " threads";
-      expect_bit_identical((*baseline_rounds_)[i].round, report.round,
+      expect_bit_identical(oracle_->rounds()[i].round, report.round,
                            label.c_str());
     }
   }
 
-  static incremental::IncrementalLongitudinalRunner* baseline_;
-  static std::vector<incremental::RoundReport>* baseline_rounds_;
+  static test::SeriesOracle* oracle_;
 };
 
-incremental::IncrementalLongitudinalRunner* IncrementalRound::baseline_ =
-    nullptr;
-std::vector<incremental::RoundReport>* IncrementalRound::baseline_rounds_ =
-    nullptr;
+test::SeriesOracle* IncrementalRound::oracle_ = nullptr;
 
 TEST_F(IncrementalRound, FixtureIsNonTrivial) {
-  ASSERT_EQ(baseline_rounds_->size(), 3u);
-  for (const incremental::RoundReport& report : *baseline_rounds_) {
-    EXPECT_GE(report.total_rows, 9u);
-    EXPECT_GT(report.total_pairs, 0u);
-    EXPECT_FALSE(report.round.scores.empty());
+  ASSERT_EQ(oracle_->rounds().size(), 3u);
+  for (const test::OracleRound& r : oracle_->rounds()) {
+    EXPECT_GE(r.vvp_count, 9u);
+    EXPECT_GT(r.vvp_count * r.tnode_count, 0u);
+    EXPECT_FALSE(r.round.scores.empty());
   }
   // The window between rounds must exercise real change, or the
   // incremental comparison would be vacuous.
-  EXPECT_GT((*baseline_rounds_)[1].events + (*baseline_rounds_)[1].vrp_announced +
-                (*baseline_rounds_)[2].events +
-                (*baseline_rounds_)[2].vrp_announced,
-            0u);
+  incremental::IncrementalLongitudinalRunner runner(engine_config(0));
+  std::size_t change = 0;
+  for (const util::Date date : round_dates(runner.config().params)) {
+    const incremental::RoundReport report = runner.run_round(date);
+    if (runner.completed_rounds() > 1) {
+      change += report.events + report.vrp_announced;
+    }
+  }
+  EXPECT_GT(change, 0u);
 }
 
 TEST_F(IncrementalRound, SerialMatchesFullRecompute) {
-  expect_incremental_matches_baseline(1);
+  expect_incremental_matches_oracle(1);
 }
 
 TEST_F(IncrementalRound, TwoThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(2);
+  expect_incremental_matches_oracle(2);
 }
 
 TEST_F(IncrementalRound, FourThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(4);
+  expect_incremental_matches_oracle(4);
 }
 
 TEST_F(IncrementalRound, EightThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(8);
+  expect_incremental_matches_oracle(8);
 }
 
 TEST_F(IncrementalRound, PublishedDatasetsAreByteIdentical) {
-  incremental::IncrementalLongitudinalRunner runner(
-      engine_config(/*incremental=*/true, /*num_threads=*/4));
+  incremental::IncrementalLongitudinalRunner runner(engine_config(4));
   for (const util::Date date : round_dates(runner.config().params)) {
     runner.run_round(date);
   }
+  expect_publishes_oracle_bytes(*oracle_, runner.store(), "plain");
+}
 
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto full_dir = tmp / "rovista_incr_test_full";
-  const auto incr_dir = tmp / "rovista_incr_test_incr";
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(incr_dir);
-  ASSERT_TRUE(core::publish_scores(baseline_->store(), full_dir.string())
-                  .has_value());
-  ASSERT_TRUE(
-      core::publish_scores(runner.store(), incr_dir.string()).has_value());
-
-  const auto full_files = read_dir(full_dir);
-  const auto incr_files = read_dir(incr_dir);
-  EXPECT_EQ(full_files, incr_files);  // same file names, same bytes
-
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(incr_dir);
+// `longitudinal --scale small --seed 3 --interval-days 1 --threads 4`
+// with checkpoint and archive writes on, the steady-state daily series:
+// its first 60 rounds must measure and publish the oracle's bytes. The
+// stretch is quiet (no timeline events, a handful of VRP changes), so
+// nearly every round reuses discovery and the whole score cache; the
+// SLURM and faulted six-round series change far more per round and are
+// the comparisons a too-loose reuse rule fails first.
+TEST_F(IncrementalRound, DailySeriesMatchesOracle) {
+  TempDir dir;
+  incremental::IncrementalConfig config = engine_config(4);
+  config.params = testfx::round_params(3);
+  config.checkpoint_dir = (dir.path / "ck").string();
+  config.archive_dir = (dir.path / "archive").string();
+  std::vector<util::Date> dates;
+  for (int day = 0; day < 60; ++day) dates.push_back(config.params.start + day);
+  EXPECT_GT(expect_series_matches_oracle(config, dates, "daily seed 3"), 0u)
+      << "no round reused discovery";
 }
 
 // ---------- SLURM scenarios ----------
@@ -207,10 +238,8 @@ TEST_F(IncrementalRound, PublishedDatasetsAreByteIdentical) {
 // per-view dirty-set path of RoutingSystem::apply_vrp_delta instead of
 // the (removed) invalidate-everything fallback.
 
-incremental::IncrementalConfig slurm_engine_config(bool incremental,
-                                                   int num_threads) {
-  incremental::IncrementalConfig config =
-      engine_config(incremental, num_threads);
+incremental::IncrementalConfig slurm_engine_config(int num_threads) {
+  incremental::IncrementalConfig config = engine_config(num_threads);
   config.params.slurm_fraction = 0.35;
   return config;
 }
@@ -236,47 +265,40 @@ scenario::VrpInstaller delta_installer(std::size_t* delta_size) {
 class SlurmIncrementalRound : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    baseline_ = new incremental::IncrementalLongitudinalRunner(
-        slurm_engine_config(/*incremental=*/false, /*num_threads=*/0));
-    baseline_rounds_ = new std::vector<incremental::RoundReport>();
-    for (const util::Date date : round_dates(baseline_->config().params)) {
-      baseline_rounds_->push_back(baseline_->run_round(date));
+    const incremental::IncrementalConfig config = slurm_engine_config(0);
+    oracle_ = new test::SeriesOracle(config.params, config.rovista);
+    for (const util::Date date : round_dates(config.params)) {
+      oracle_->run_round(date);
     }
   }
 
   static void TearDownTestSuite() {
-    delete baseline_rounds_;
-    delete baseline_;
-    baseline_rounds_ = nullptr;
-    baseline_ = nullptr;
+    delete oracle_;
+    oracle_ = nullptr;
   }
 
-  static void expect_incremental_matches_baseline(int num_threads) {
+  static void expect_incremental_matches_oracle(int num_threads) {
     incremental::IncrementalLongitudinalRunner runner(
-        slurm_engine_config(/*incremental=*/true, num_threads));
+        slurm_engine_config(num_threads));
     const auto dates = round_dates(runner.config().params);
     for (std::size_t i = 0; i < dates.size(); ++i) {
       const incremental::RoundReport report = runner.run_round(dates[i]);
       const std::string label = "slurm " + dates[i].to_string() + " @ " +
                                 std::to_string(num_threads) + " threads";
-      expect_bit_identical((*baseline_rounds_)[i].round, report.round,
+      expect_bit_identical(oracle_->rounds()[i].round, report.round,
                            label.c_str());
     }
   }
 
-  static incremental::IncrementalLongitudinalRunner* baseline_;
-  static std::vector<incremental::RoundReport>* baseline_rounds_;
+  static test::SeriesOracle* oracle_;
 };
 
-incremental::IncrementalLongitudinalRunner* SlurmIncrementalRound::baseline_ =
-    nullptr;
-std::vector<incremental::RoundReport>* SlurmIncrementalRound::baseline_rounds_ =
-    nullptr;
+test::SeriesOracle* SlurmIncrementalRound::oracle_ = nullptr;
 
 TEST_F(SlurmIncrementalRound, FixtureHasSlurmBearingPolicies) {
   // The comparison would be vacuous if no AS actually carried exceptions
   // by the first measured date.
-  const incremental::IncrementalConfig config = slurm_engine_config(false, 0);
+  const incremental::IncrementalConfig config = slurm_engine_config(0);
   scenario::Scenario world(config.params);
   world.advance_to(round_dates(config.params).front());
   std::size_t slurm_ases = 0;
@@ -284,46 +306,44 @@ TEST_F(SlurmIncrementalRound, FixtureHasSlurmBearingPolicies) {
     if (world.routing().policy(asn).has_slurm()) ++slurm_ases;
   }
   EXPECT_GT(slurm_ases, 0u);
-  for (const incremental::RoundReport& report : *baseline_rounds_) {
-    EXPECT_GT(report.total_pairs, 0u);
-    EXPECT_FALSE(report.round.scores.empty());
+  for (const test::OracleRound& r : oracle_->rounds()) {
+    EXPECT_GT(r.vvp_count * r.tnode_count, 0u);
+    EXPECT_FALSE(r.round.scores.empty());
   }
 }
 
 TEST_F(SlurmIncrementalRound, SerialMatchesFullRecompute) {
-  expect_incremental_matches_baseline(1);
+  expect_incremental_matches_oracle(1);
 }
 
 TEST_F(SlurmIncrementalRound, TwoThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(2);
+  expect_incremental_matches_oracle(2);
 }
 
 TEST_F(SlurmIncrementalRound, FourThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(4);
+  expect_incremental_matches_oracle(4);
 }
 
 TEST_F(SlurmIncrementalRound, EightThreadsMatchFullRecompute) {
-  expect_incremental_matches_baseline(8);
+  expect_incremental_matches_oracle(8);
 }
 
 TEST_F(SlurmIncrementalRound, PublishedDatasetsAreByteIdentical) {
-  incremental::IncrementalLongitudinalRunner runner(
-      slurm_engine_config(/*incremental=*/true, /*num_threads=*/4));
+  incremental::IncrementalLongitudinalRunner runner(slurm_engine_config(4));
   for (const util::Date date : round_dates(runner.config().params)) {
     runner.run_round(date);
   }
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto full_dir = tmp / "rovista_slurm_test_full";
-  const auto incr_dir = tmp / "rovista_slurm_test_incr";
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(incr_dir);
-  ASSERT_TRUE(core::publish_scores(baseline_->store(), full_dir.string())
-                  .has_value());
-  ASSERT_TRUE(
-      core::publish_scores(runner.store(), incr_dir.string()).has_value());
-  EXPECT_EQ(read_dir(full_dir), read_dir(incr_dir));
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(incr_dir);
+  expect_publishes_oracle_bytes(*oracle_, runner.store(), "slurm");
+}
+
+// `longitudinal --seed 11 --rounds 6 --interval-days 20 --scale small
+// --slurm-fraction 0.35`: six rounds from the window's first day, every
+// delta install through the per-view dirty-set path.
+TEST_F(SlurmIncrementalRound, SixRoundSeriesMatchesOracle) {
+  const incremental::IncrementalConfig config = slurm_engine_config(0);
+  std::vector<util::Date> dates;
+  for (int i = 0; i < 6; ++i) dates.push_back(config.params.start + 20 * i);
+  expect_series_matches_oracle(config, dates, "slurm 6 x 20 days");
 }
 
 TEST_F(SlurmIncrementalRound, DeltaInstallKeepsCacheAndViews) {
@@ -331,8 +351,7 @@ TEST_F(SlurmIncrementalRound, DeltaInstallKeepsCacheAndViews) {
   // no timeline events, converged routes stay cached and the
   // materialized SLURM views survive (invalidate_all + view clearing
   // would zero both).
-  incremental::IncrementalLongitudinalRunner runner(
-      slurm_engine_config(/*incremental=*/true, /*num_threads=*/1));
+  incremental::IncrementalLongitudinalRunner runner(slurm_engine_config(1));
   const auto dates = round_dates(runner.config().params);
   runner.run_round(dates[0]);
 
@@ -375,10 +394,9 @@ TEST_F(SlurmIncrementalRound, DeltaInstallKeepsCacheAndViews) {
 TEST_F(SlurmIncrementalRound, CheckpointResumeMatchesUninterrupted) {
   // Two rounds, checkpoint, resume in a new runner at a different thread
   // count over the same archive, final round bit-identical and the whole
-  // published series byte-identical to the full-recompute baseline.
+  // published series byte-identical to the oracle's.
   TempDir archive;
-  incremental::IncrementalConfig config =
-      slurm_engine_config(/*incremental=*/true, /*num_threads=*/2);
+  incremental::IncrementalConfig config = slurm_engine_config(2);
   config.archive_dir = archive.path.string();
   incremental::IncrementalLongitudinalRunner partial(config);
   const auto dates = round_dates(partial.config().params);
@@ -391,21 +409,9 @@ TEST_F(SlurmIncrementalRound, CheckpointResumeMatchesUninterrupted) {
   ASSERT_TRUE(resumed.restore(state));
   EXPECT_EQ(resumed.completed_rounds(), 2u);
   const incremental::RoundReport last = resumed.run_round(dates[2]);
-  expect_bit_identical((*baseline_rounds_)[2].round, last.round,
+  expect_bit_identical(oracle_->rounds()[2].round, last.round,
                        "slurm resume");
-
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto full_dir = tmp / "rovista_slurm_resume_full";
-  const auto res_dir = tmp / "rovista_slurm_resume_incr";
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(res_dir);
-  ASSERT_TRUE(core::publish_scores(baseline_->store(), full_dir.string())
-                  .has_value());
-  ASSERT_TRUE(
-      core::publish_scores(resumed.store(), res_dir.string()).has_value());
-  EXPECT_EQ(read_dir(full_dir), read_dir(res_dir));
-  std::filesystem::remove_all(full_dir);
-  std::filesystem::remove_all(res_dir);
+  expect_publishes_oracle_bytes(*oracle_, resumed.store(), "slurm resume");
 }
 
 // ---------- Discovery oracle ----------
@@ -442,13 +448,13 @@ void expect_same_inputs(const testfx::RoundInputs& want,
 
 TEST(DiscoveryOracle, EpochReaderMatchesFreshWorld) {
   incremental::IncrementalConfig faulted =
-      engine_config(/*incremental=*/true, /*num_threads=*/1);
+      engine_config(1);
   faulted.params.faults.rp_failure_rate = 0.15;
   faulted.params.faults.rp_divergence_fraction = 0.2;
   faulted.params.faults.rtr_drop_rate = 0.15;
   const std::pair<const char*, incremental::IncrementalConfig> fixtures[] = {
-      {"plain", engine_config(/*incremental=*/true, /*num_threads=*/1)},
-      {"slurm", slurm_engine_config(/*incremental=*/true, /*num_threads=*/1)},
+      {"plain", engine_config(1)},
+      {"slurm", slurm_engine_config(1)},
       {"faulted", faulted}};
   for (const auto& [name, config] : fixtures) {
     incremental::IncrementalLongitudinalRunner runner(config);
@@ -507,13 +513,13 @@ void expect_cache_holds_fingerprints(
 
 TEST(FingerprintOracle, MemoMatchesRecompute) {
   incremental::IncrementalConfig faulted =
-      engine_config(/*incremental=*/true, /*num_threads=*/1);
+      engine_config(1);
   faulted.params.faults.rp_failure_rate = 0.15;
   faulted.params.faults.rp_divergence_fraction = 0.2;
   faulted.params.faults.rtr_drop_rate = 0.15;
   const std::pair<const char*, incremental::IncrementalConfig> fixtures[] = {
-      {"plain", engine_config(/*incremental=*/true, /*num_threads=*/1)},
-      {"slurm", slurm_engine_config(/*incremental=*/true, /*num_threads=*/1)},
+      {"plain", engine_config(1)},
+      {"slurm", slurm_engine_config(1)},
       {"faulted", faulted}};
   constexpr int kOffsets[] = {150, 150, 151, 152, 171, 172, 215, 246, 247};
   constexpr std::size_t kRepeated = 1;  // +150 again
@@ -590,7 +596,7 @@ TEST(FaultKnobZeroIncrementalRound, GoldenBytesPinnedAtAllThreadCounts) {
     // and CRC, so the digest covers the archived rounds too.
     TempDir archive;
     incremental::IncrementalConfig config =
-        engine_config(/*incremental=*/true, threads);
+        engine_config(threads);
     config.archive_dir = archive.path.string();
     incremental::IncrementalLongitudinalRunner runner(config);
     for (const util::Date date : round_dates(config.params)) {
@@ -628,7 +634,7 @@ TEST(FaultKnobZeroIncrementalRound, GoldenBytesPinnedAtAllThreadCounts) {
 
 TEST_F(IncrementalRound, RepeatedDateReusesEverything) {
   incremental::IncrementalLongitudinalRunner runner(
-      engine_config(/*incremental=*/true, /*num_threads=*/2));
+      engine_config(2));
   const auto dates = round_dates(runner.config().params);
   const incremental::RoundReport first = runner.run_round(dates[0]);
   EXPECT_EQ(first.dirty_rows, first.total_rows);  // cold cache: all rows

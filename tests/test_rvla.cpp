@@ -484,7 +484,6 @@ void build_series(std::uint64_t seed, Series& out) {
         analytics::make_frame(date, pairs, has_health, health), &error))
         << error;
   }
-  ASSERT_EQ(out.store.index_divergence(), "");
 }
 
 void expect_queries_match_store(const Series& series) {

@@ -306,7 +306,6 @@ persist::CheckpointState tagged_state(std::uint64_t tag, int rounds) {
   persist::CheckpointState s;
   s.config_digest = 0x1122334455667788ull;
   s.user_tag = tag;
-  s.incremental = true;
   s.archive.frames = static_cast<std::uint64_t>(rounds);
   s.archive.length = 8 + 53 * s.archive.frames;
   s.archive.crc = 0x9E3779B9u * static_cast<std::uint32_t>(rounds + 1);

@@ -48,8 +48,7 @@ scenario::VrpInstaller delta_installer(
                    incremental::VrpDeltaComputer::diff(prev, next))
                    .dirty_prefixes(prev, next, routing);
     }
-    incremental::make_vrp_installer(true, nullptr)(routing, prev,
-                                                   std::move(next));
+    incremental::make_vrp_installer(nullptr)(routing, prev, std::move(next));
   };
 }
 

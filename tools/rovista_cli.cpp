@@ -11,10 +11,9 @@
 //            audit one AS: score, per-tNode verdicts, leak paths
 //   longitudinal
 //            --seed N --rounds N [--interval-days N] [--threads N]
-//            [--incremental on|off] [--out FILE] [--publish DIR]
+//            [--out FILE] [--publish DIR]
 //            run a dated sequence of rounds through the incremental
-//            engine (or full recompute per round with --incremental
-//            off) and emit a per-round CSV series
+//            engine and emit a per-round CSV series
 //   serve    --seed N --rounds N [--port P] [--workers N] ...
 //            long-lived RQP query daemon: answers score / trajectory /
 //            reachability queries over live epoch snapshots while the
@@ -134,6 +133,12 @@ bool read_checkpoint_every(const Args& args, int& out) {
   return false;
 }
 
+/// A command run without a flag it cannot do without: one line, exit 2.
+int refuse_missing(const char* command, const char* flags) {
+  std::fprintf(stderr, "error: %s needs %s\n", command, flags);
+  return 2;
+}
+
 bool read_date(const Args& args, const char* flag, util::Date& out) {
   const char* v = args.get(flag);
   if (v == nullptr || util::Date::parse(v, out)) return true;
@@ -217,18 +222,19 @@ int usage() {
       "  query   --dir DIR [--asn N]                    read a dataset\n"
       "  audit   --seed N --asn N [--date YYYY-MM-DD]   audit one AS\n"
       "  longitudinal --seed N --rounds N [--interval-days N]\n"
-      "          [--start YYYY-MM-DD] [--threads N] [--incremental on|off]\n"
+      "          [--start YYYY-MM-DD] [--threads N]\n"
       "          [--out FILE] [--publish DIR] [--scale small|paper]\n"
       "          [--slurm-fraction F]\n"
       "          [--rp-failure-rate F] [--rp-divergence-fraction F]\n"
       "          [--rtr-drop-rate F]\n"
       "          [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]\n"
       "          [--archive DIR] [--die-after N]\n"
-      "          run a dated round sequence; VRP deltas drive dirty-\n"
-      "          prefix recomputation and a reachability-aware score\n"
-      "          cache unless --incremental off forces full recompute\n"
-      "          per round (scores identical either way); the per-round\n"
-      "          series goes to --out as CSV. With --checkpoint-dir the\n"
+      "          run a dated round sequence, one round every\n"
+      "          --interval-days (>= 1, default 30); VRP deltas drive\n"
+      "          dirty-prefix recomputation and a reachability-aware\n"
+      "          score cache (scores bit-identical to a full recompute\n"
+      "          of each round), and the per-round series goes to --out\n"
+      "          as CSV. With --checkpoint-dir the\n"
       "          series writes crash-safe RVCP checkpoints (see\n"
       "          docs/FORMATS.md) that point into its RVLA archive,\n"
       "          kept in --archive or else in the checkpoint directory,\n"
@@ -341,7 +347,7 @@ int cmd_measure(const Args& args) {
     return 2;
   }
   const char* out = args.get("out");
-  if (out == nullptr) return usage();
+  if (out == nullptr) return refuse_missing("measure", "--out");
   scenario::ScenarioParams params;
   params.seed = seed;
   if (!parse_topology(args, params)) return 2;
@@ -398,7 +404,7 @@ int cmd_query(const Args& args) {
   std::uint64_t asn = 0;
   if (!read_u64(args, "asn", asn)) return 2;
   const char* dir = args.get("dir");
-  if (dir == nullptr) return usage();
+  if (dir == nullptr) return refuse_missing("query", "--dir");
   const auto store = core::load_scores(dir);
   if (!store.has_value()) {
     std::fprintf(stderr, "error: no dataset at %s\n", dir);
@@ -435,7 +441,7 @@ int cmd_audit(const Args& args) {
       !read_date(args, "date", date)) {
     return 2;
   }
-  if (!args.has("asn")) return usage();
+  if (!args.has("asn")) return refuse_missing("audit", "--asn");
   const auto asn = static_cast<core::Asn>(asn64);
 
   scenario::ScenarioParams params;
@@ -521,7 +527,11 @@ std::optional<Series> read_series(const Args& args, const char* command) {
                  command);
     return std::nullopt;
   }
-  if (series.interval_days == 0) series.interval_days = 1;
+  if (series.interval_days == 0) {
+    std::fprintf(stderr, "error: --interval-days wants a day count >= 1, "
+                         "got '0'\n");
+    return std::nullopt;
+  }
   const char* scale = args.get("scale", "paper");
   const bool small = std::strcmp(scale, "small") == 0;
   if (!small && std::strcmp(scale, "paper") != 0) {
@@ -582,13 +592,6 @@ int cmd_longitudinal(const Args& args) {
     return 2;
   }
   incremental::IncrementalConfig& config = series->config;
-  const char* mode = args.get("incremental", "on");
-  if (std::strcmp(mode, "on") != 0 && std::strcmp(mode, "off") != 0) {
-    std::fprintf(stderr, "error: --incremental wants on or off, got '%s'\n",
-                 mode);
-    return 2;
-  }
-  config.incremental = std::strcmp(mode, "on") == 0;
   // --slurm-fraction: the share of ROV deployers carrying RFC 8416
   // local exceptions; exercises the per-view delta-invalidation path of
   // apply_vrp_delta. Fault-injection knobs (faults/fault_schedule.h)
@@ -607,9 +610,9 @@ int cmd_longitudinal(const Args& args) {
   const bool faulted = faults.enabled();
   const std::uint64_t rounds = series->rounds;
 
-  std::printf("running %llu rounds (seed %llu, incremental %s) ...\n",
+  std::printf("running %llu rounds (seed %llu) ...\n",
               static_cast<unsigned long long>(rounds),
-              static_cast<unsigned long long>(config.params.seed), mode);
+              static_cast<unsigned long long>(config.params.seed));
   incremental::IncrementalLongitudinalRunner runner(config);
 
   std::uint64_t first_round = 0;
@@ -719,7 +722,7 @@ int cmd_analyze(const Args& args) {
     return 2;
   }
   const char* dir = args.get("archive");
-  if (dir == nullptr) return usage();
+  if (dir == nullptr) return refuse_missing("analyze", "--archive");
   const char* query = args.get("query", "info");
 
   std::string error;
@@ -861,8 +864,6 @@ bool print_rvcp(std::span<const std::uint8_t> bytes) {
               static_cast<unsigned long long>(state->config_digest));
   std::printf("  series tag       %016llx\n",
               static_cast<unsigned long long>(state->user_tag));
-  std::printf("  mode             %s\n",
-              state->incremental ? "incremental" : "full recompute");
   std::printf("  archive          %llu frame(s), %llu bytes committed, "
               "CRC %08x\n",
               static_cast<unsigned long long>(state->archive.frames),
@@ -908,7 +909,9 @@ int cmd_checkpoint_inspect(const Args& args) {
     return print_checkpoint_file(file) ? 0 : 1;
   }
   const char* dir = args.get("dir");
-  if (dir == nullptr) return usage();
+  if (dir == nullptr) {
+    return refuse_missing("checkpoint inspect", "--dir or --file");
+  }
   const persist::CheckpointPaths paths = persist::CheckpointPaths::in(dir);
   for (const std::string& slot : paths.slots()) print_checkpoint_file(slot);
   const auto loaded = persist::load_checkpoint_slot(dir);
@@ -941,7 +944,10 @@ int cmd_serve(const Args& args) {
                  args.get("port"));
     return 2;
   }
-  if (workers == 0) workers = 1;
+  if (workers == 0) {
+    std::fprintf(stderr, "error: --workers wants a count >= 1, got '0'\n");
+    return 2;
+  }
   const incremental::IncrementalConfig& config = series->config;
 
   // Block the shutdown signals before any thread exists, so workers and
@@ -1061,7 +1067,9 @@ int cmd_loadgen(const Args& args) {
       !read_double(args, "reach-fraction", options.reach_fraction, 0.0, 1.0)) {
     return 2;
   }
-  if (port == 0 || port > 65535) return usage();
+  if (port == 0 || port > 65535) {
+    return refuse_missing("loadgen", "--port in 1..65535");
+  }
   if (options.reach_fraction > 0.0 && !args.has("reach-dst")) {
     std::fprintf(stderr,
                  "error: --reach-fraction above 0 needs --reach-dst\n");
@@ -1140,7 +1148,8 @@ int cmd_loadgen(const Args& args) {
 int cmd_feedcheck(const Args& args) {
   const char* record = args.get("record");
   const char* published = args.get("published");
-  if (record == nullptr || published == nullptr) return usage();
+  if (record == nullptr) return refuse_missing("feedcheck", "--record");
+  if (published == nullptr) return refuse_missing("feedcheck", "--published");
   std::size_t checked = 0;
   std::string diag;
   if (!serve::verify_record_against_published(record, published, &checked,
@@ -1167,8 +1176,8 @@ const Command kCommands[] = {
     {"query", cmd_query, {"dir", "asn"}},
     {"audit", cmd_audit, {"seed", "asn", "date"}},
     {"longitudinal", cmd_longitudinal,
-     {"seed", "rounds", "interval-days", "start", "threads", "incremental",
-      "out", "publish", "scale", "slurm-fraction",
+     {"seed", "rounds", "interval-days", "start", "threads", "out",
+      "publish", "scale", "slurm-fraction",
       "rp-failure-rate", "rp-divergence-fraction", "rtr-drop-rate",
       "checkpoint-dir", "checkpoint-every", "resume", "archive",
       "die-after"}},
