@@ -7,7 +7,8 @@
 #   3. ASan+UBSan build (-DSANITIZE=address+undefined) of the
 #      incremental-engine surface — delta computation, the longitudinal
 #      index, the cache-reuse rounds, the memoized-fingerprint oracle
-#      (FingerprintOracle), the checkpoint codec's
+#      (FingerprintOracle), the world-generation reuses (Generations,
+#      RelyingPartyStability, SharedEpoch), the checkpoint codec's
 #      corruption/truncation battery (the loader must stay clean on
 #      attacker-grade input) and the two-slot commit's crash-window
 #      battery (SlotFile) — and a clean run of it,
@@ -66,9 +67,11 @@
 #      --incremental included), a malformed number (query and analyze
 #      included), a missing required flag, a zero --interval-days or
 #      serve --workers, a loadgen --port outside 1..65535, --resume or
-#      --checkpoint-every without --checkpoint-dir, and a
-#      --checkpoint-every outside [1, 2^31-1] exit 2 with a one-line
-#      error (stage 1b),
+#      --checkpoint-every without --checkpoint-dir, a
+#      --checkpoint-every outside [1, 2^31-1], and a --threads or
+#      serve --workers above 256 or a loadgen --connections above 4096
+#      (each refusal naming its flag) exit 2 with a one-line error
+#      (stage 1b),
 #  14. steady-state daily series: 300 daily rounds on the small world
 #      (checkpoint + archive writes on) under a 10 s wall-clock ceiling,
 #      and its newest checkpoint slot at most 20,000 bytes (the
@@ -136,7 +139,7 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, missing required flags, zero or out-of-range counts, checkpoint flags without --checkpoint-dir, out-of-range --checkpoint-every)"
+stage "CLI refusals (REACH share without a destination, unknown flags, malformed numbers, missing required flags, zero or out-of-range counts, checkpoint flags without --checkpoint-dir, out-of-range --checkpoint-every, thread/worker/connection caps)"
 # Each is refused before any world is built or connection attempted.
 refuse() {
   local status=0
@@ -179,6 +182,24 @@ refuse loadgen --port 70000
 refuse longitudinal --rounds 2 --interval-days 0
 refuse serve --rounds 1 --interval-days 0
 refuse serve --rounds 1 --workers 0
+# Thread, worker and connection counts above their caps, each refused by
+# name. A regressed refusal starts at most cap + 1 threads or sockets.
+refuse_flag() {
+  local flag="$1"
+  shift
+  refuse "$@"
+  grep -q -- "--$flag" "$DOCS_TMP/refusal.txt" || {
+    echo "rovista $*: the refusal does not name --$flag" >&2
+    cat "$DOCS_TMP/refusal.txt" >&2
+    exit 1
+  }
+}
+refuse_flag threads measure --out "$DOCS_TMP/m" --threads 257
+refuse_flag threads longitudinal --rounds 1 --threads 257
+refuse_flag threads serve --rounds 1 --threads 257
+refuse_flag workers serve --rounds 1 --workers 257
+refuse_flag threads loadgen --port 9 --threads 257
+refuse_flag connections loadgen --port 9 --connections 4097
 # 0, or a value the engine's int cannot hold, would write no periodic
 # checkpoint at all.
 for every in 0 3000000000; do
@@ -225,9 +246,10 @@ stage "ASan/UBSan incremental + checkpoint surface"
 t 900 cmake -B build-asan -S . -DSANITIZE=address+undefined
 t 1800 cmake --build build-asan -j "$JOBS" \
   --target test_vrp_delta test_longitudinal_index test_incremental_round \
-           test_checkpoint test_slot_file test_rvla test_rtr test_faults
+           test_checkpoint test_slot_file test_rvla test_rtr test_faults \
+           test_generations
 t 1800 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'VrpDelta|LongitudinalIndex|IncrementalRound|FingerprintOracle|Wire|Checkpoint|ScoreCacheRestore|Rvla|SlotFile'
+  -R 'VrpDelta|LongitudinalIndex|IncrementalRound|FingerprintOracle|Wire|Checkpoint|ScoreCacheRestore|Rvla|SlotFile|Generations|RelyingPartyStability|SharedEpoch'
 
 stage "ASan/UBSan fault soak (RTR lifecycle + fault injection)"
 t 1800 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \

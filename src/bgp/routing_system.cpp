@@ -28,11 +28,12 @@ RoutingSystem::RoutingSystem(const RoutingSystem& other,
 
 RoutingSystem::~RoutingSystem() = default;
 
-void RoutingSystem::require_mutable(const char* op) const {
+void RoutingSystem::require_mutable(const char* op) {
   if (frozen_) {
     throw std::logic_error(std::string("RoutingSystem::") + op +
                            " on a frozen (published-epoch) instance");
   }
+  ++generation_;
 }
 
 std::size_t RoutingSystem::warm() {

@@ -92,6 +92,13 @@ class RoutingSystem {
   void freeze();
   bool frozen() const noexcept { return frozen_; }
 
+  /// Mutation generation: require_mutable(), which every mutator calls
+  /// first, moves it. Lazy fills — warm(), a routes_for() or route_at()
+  /// miss, a SLURM view validity_for() materializes — compute what the
+  /// state already determines and leave it alone. Equal generations
+  /// mean no mutator ran in between (DESIGN.md, "World generations").
+  std::uint64_t generation() const noexcept { return generation_; }
+
   // -- Policy ---------------------------------------------------------
 
   /// Install a policy (invalidates cached routes that ROV can affect).
@@ -248,9 +255,10 @@ class RoutingSystem {
   /// the next convergence.
   flat::FlatState& flat_state() const;
 
-  /// Throws std::logic_error if this instance is frozen. Every mutator
-  /// calls it first, so a published epoch can never be changed in place.
-  void require_mutable(const char* op) const;
+  /// Throws std::logic_error if this instance is frozen, else moves the
+  /// generation. Every mutator calls it first, so a published epoch can
+  /// never be changed in place and no mutation goes uncounted.
+  void require_mutable(const char* op);
 
   /// The SLURM-adjusted view of `asn` (materializing it from the AS's
   /// effective base if needed). Pre: policy(asn).has_slurm().
@@ -288,6 +296,7 @@ class RoutingSystem {
   // per-prefix validity matrix is always read fresh.
   mutable std::unique_ptr<flat::FlatState> flat_;
   bool frozen_ = false;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace rovista::bgp

@@ -1,8 +1,7 @@
 #include "core/scoring.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <tuple>
 
 namespace rovista::core {
 
@@ -21,51 +20,84 @@ struct TnodeTally {
     if (inbound > 0) ++kinds;
     return kinds <= 1;
   }
+  void add(FilteringVerdict verdict) noexcept {
+    if (verdict == FilteringVerdict::kOutboundFiltering) ++outbound;
+    if (verdict == FilteringVerdict::kNoFiltering) ++no_filtering;
+    if (verdict == FilteringVerdict::kInboundFiltering) ++inbound;
+  }
 };
+
+// One conclusive observation, ordered by (AS, tNode, vVP).
+struct Verdict {
+  Asn asn;
+  std::uint32_t tnode;
+  std::uint32_t vvp;
+  FilteringVerdict verdict;
+
+  bool operator<(const Verdict& o) const noexcept {
+    return std::tie(asn, tnode, vvp) < std::tie(o.asn, o.tnode, o.vvp);
+  }
+};
+
+std::vector<Verdict> sorted_verdicts(std::span<const PairObservation> obs) {
+  std::vector<Verdict> out;
+  out.reserve(obs.size());
+  for (const PairObservation& o : obs) {
+    if (o.verdict == FilteringVerdict::kInconclusive) continue;
+    out.push_back({o.vvp_as, o.tnode.value(), o.vvp.value(), o.verdict});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Calls f(tally) for each (AS, tNode) in ascending order; `v` must be
+// sorted.
+template <typename F>
+void for_each_tally(std::span<const Verdict> v, F&& f) {
+  for (std::size_t i = 0; i < v.size();) {
+    TnodeTally tally;
+    std::size_t j = i;
+    for (; j < v.size() && v[j].asn == v[i].asn && v[j].tnode == v[i].tnode;
+         ++j) {
+      tally.add(v[j].verdict);
+    }
+    f(tally);
+    i = j;
+  }
+}
 
 }  // namespace
 
 std::vector<AsScore> aggregate_scores(std::span<const PairObservation> obs,
                                       const ScoringConfig& config) {
-  // (AS → tNode → tally), plus the set of contributing vVPs per AS.
-  std::map<Asn, std::map<std::uint32_t, TnodeTally>> tallies;
-  std::map<Asn, std::set<std::uint32_t>> vvps;
-
-  for (const PairObservation& o : obs) {
-    if (o.verdict == FilteringVerdict::kInconclusive) continue;
-    TnodeTally& t = tallies[o.vvp_as][o.tnode.value()];
-    switch (o.verdict) {
-      case FilteringVerdict::kOutboundFiltering:
-        ++t.outbound;
-        break;
-      case FilteringVerdict::kNoFiltering:
-        ++t.no_filtering;
-        break;
-      case FilteringVerdict::kInboundFiltering:
-        ++t.inbound;
-        break;
-      case FilteringVerdict::kInconclusive:
-        break;
-    }
-    vvps[o.vvp_as].insert(o.vvp.value());
-  }
-
+  const std::vector<Verdict> verdicts = sorted_verdicts(obs);
   std::vector<AsScore> out;
-  for (const auto& [asn, tnode_map] : tallies) {
+  std::vector<std::uint32_t> vvps;
+  for (std::size_t i = 0; i < verdicts.size();) {
+    // One AS: its verdicts are [i, end), sorted by (tNode, vVP).
+    std::size_t end = i;
+    vvps.clear();
+    while (end < verdicts.size() && verdicts[end].asn == verdicts[i].asn) {
+      vvps.push_back(verdicts[end++].vvp);
+    }
+    std::sort(vvps.begin(), vvps.end());
     AsScore score;
-    score.asn = asn;
-    score.vvp_count = static_cast<int>(vvps[asn].size());
+    score.asn = verdicts[i].asn;
+    score.vvp_count = static_cast<int>(
+        std::unique(vvps.begin(), vvps.end()) - vvps.begin());
+    const std::span<const Verdict> as_verdicts(verdicts.data() + i, end - i);
+    i = end;
     if (score.vvp_count < config.min_vvps_per_as) continue;
 
-    for (const auto& [tnode, tally] : tnode_map) {
+    for_each_tally(as_verdicts, [&](const TnodeTally& tally) {
       if (!tally.unanimous()) {
         ++score.tnodes_inconsistent;
-        continue;
+        return;
       }
-      if (tally.usable() == 0) continue;  // inbound-only: no ROV signal
+      if (tally.usable() == 0) return;  // inbound-only: no ROV signal
       ++score.tnodes_consistent;
       if (tally.outbound > 0) ++score.tnodes_outbound;
-    }
+    });
     if (score.tnodes_consistent < config.min_tnodes) continue;
     score.score = 100.0 * static_cast<double>(score.tnodes_outbound) /
                   static_cast<double>(score.tnodes_consistent);
@@ -75,22 +107,13 @@ std::vector<AsScore> aggregate_scores(std::span<const PairObservation> obs,
 }
 
 double consistency_rate(std::span<const PairObservation> obs) {
-  std::map<Asn, std::map<std::uint32_t, TnodeTally>> tallies;
-  for (const PairObservation& o : obs) {
-    if (o.verdict == FilteringVerdict::kInconclusive) continue;
-    TnodeTally& t = tallies[o.vvp_as][o.tnode.value()];
-    if (o.verdict == FilteringVerdict::kOutboundFiltering) ++t.outbound;
-    if (o.verdict == FilteringVerdict::kNoFiltering) ++t.no_filtering;
-    if (o.verdict == FilteringVerdict::kInboundFiltering) ++t.inbound;
-  }
+  const std::vector<Verdict> verdicts = sorted_verdicts(obs);
   std::size_t total = 0;
   std::size_t consistent = 0;
-  for (const auto& [asn, tnode_map] : tallies) {
-    for (const auto& [tnode, tally] : tnode_map) {
-      ++total;
-      if (tally.unanimous()) ++consistent;
-    }
-  }
+  for_each_tally(verdicts, [&](const TnodeTally& tally) {
+    ++total;
+    if (tally.unanimous()) ++consistent;
+  });
   return total == 0
              ? 1.0
              : static_cast<double>(consistent) / static_cast<double>(total);

@@ -23,6 +23,7 @@ std::unique_ptr<DataPlane> DataPlane::clone_fresh(
 }
 
 Host* DataPlane::add_host(Asn asn, HostConfig config) {
+  ++generation_;
   const std::uint32_t key = config.address.value();
   if (hosts_.contains(key)) return nullptr;
   const net::Ipv4Address addr = config.address;
@@ -57,6 +58,7 @@ Asn DataPlane::as_of(net::Ipv4Address addr) const noexcept {
 }
 
 void DataPlane::set_filter(Asn asn, FilterConfig filter) {
+  ++generation_;
   filters_[asn] = filter;
 }
 

@@ -79,6 +79,18 @@ struct FilterConfig {
   bool ingress_drop_external = false;   // drop inbound from outside the AS
 };
 
+/// Mutation generations of everything a plane's forwarding reads: the
+/// AS graph, the routing system over it and the plane itself. Equal
+/// values of one plane at two points mean no mutator of any of the
+/// three ran in between (DESIGN.md, "World generations").
+struct WorldGenerations {
+  std::uint64_t graph = 0;
+  std::uint64_t routing = 0;
+  std::uint64_t plane = 0;
+
+  bool operator==(const WorldGenerations&) const = default;
+};
+
 /// Result of a path computation.
 struct PathResult {
   bool delivered = false;
@@ -111,7 +123,10 @@ class DataPlane {
   const FilterConfig& filter(Asn asn) const noexcept;
 
   /// Uniform per-packet loss probability (failure injection; default 0).
-  void set_loss_probability(double p) noexcept { loss_prob_ = p; }
+  void set_loss_probability(double p) noexcept {
+    ++generation_;
+    loss_prob_ = p;
+  }
   double loss_probability() const noexcept { return loss_prob_; }
 
   // -- Sending -----------------------------------------------------------
@@ -130,7 +145,21 @@ class DataPlane {
 
   /// Per-hop one-way latency (fixed, keeps timing deterministic).
   TimeUs hop_latency() const noexcept { return hop_latency_; }
-  void set_hop_latency(TimeUs us) noexcept { hop_latency_ = us; }
+  void set_hop_latency(TimeUs us) noexcept {
+    ++generation_;
+    hop_latency_ = us;
+  }
+
+  /// Mutation generation: add_host, set_filter, set_loss_probability and
+  /// set_hop_latency move it. Sending packets does not: it changes host
+  /// runtime state, which clone_fresh() and fingerprints never read.
+  std::uint64_t generation() const noexcept { return generation_; }
+
+  /// This plane's generation with those of its routing and graph.
+  WorldGenerations world_generations() const noexcept {
+    return {routing_.graph().generation(), routing_.generation(),
+            generation_};
+  }
 
   // -- Replication --------------------------------------------------------
 
@@ -172,6 +201,7 @@ class DataPlane {
   FilterConfig default_filter_;
   double loss_prob_ = 0.0;
   TimeUs hop_latency_ = 2000;  // 2 ms per AS hop
+  std::uint64_t generation_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_delivered_ = 0;
   std::unordered_map<int, std::uint64_t> drops_;

@@ -27,6 +27,20 @@ FingerprintMemo::FingerprintMemo(
         std::none_of(pair_streams_[i].begin(), pair_streams_[i].end(),
                      [&](StreamId id) { return stream_changed_[id] != 0; });
   }
+  // Computing paths only fills routing caches, which moves no generation.
+  generations_ = plane.world_generations();
+}
+
+bool FingerprintMemo::current(
+    const dataplane::DataPlane& plane,
+    std::span<const dataplane::PairEndpoints> pairs) const {
+  return generations_ == plane.world_generations() &&
+         std::ranges::equal(pairs_, pairs);
+}
+
+FingerprintMemo FingerprintMemo::kept() && {
+  std::ranges::fill(unchanged_, 1);
+  return std::move(*this);
 }
 
 FingerprintMemo::StreamId FingerprintMemo::intern(

@@ -13,9 +13,13 @@
 // memoized words by fingerprint(), equal bit for bit to
 // dataplane::pair_fingerprint.
 //
-// Reuse follows from comparing recomputed words, so the memo needs no
-// invalidation rule: a stream the previous memo lacks counts as
-// changed, and an empty previous memo leaves every pair changed.
+// Reuse follows from comparing recomputed words: a stream the previous
+// memo lacks counts as changed, and an empty previous memo leaves every
+// pair changed. Words are recomputed only when they can have changed: a
+// memo records the world generations (dataplane::WorldGenerations) it
+// was built at, and while none has moved and the pairs are the same,
+// every word is provably still the world's, so the memo is kept whole
+// (current(), kept()) instead of re-walking its journeys.
 #pragma once
 
 #include <array>
@@ -39,6 +43,16 @@ class FingerprintMemo {
   FingerprintMemo(dataplane::DataPlane& plane,
                   std::span<const dataplane::PairEndpoints> pairs,
                   const FingerprintMemo& previous);
+
+  /// This memo's words are still those of `plane`'s world for `pairs`:
+  /// no generation of the graph, routing or plane has moved since it
+  /// was built, and it covers exactly `pairs`.
+  bool current(const dataplane::DataPlane& plane,
+               std::span<const dataplane::PairEndpoints> pairs) const;
+
+  /// This memo as the next round's, every pair unchanged. Call only when
+  /// current() holds for the next round's world and pairs.
+  FingerprintMemo kept() &&;
 
   /// Pair i's fingerprint equals the previous memo's pair i's.
   bool unchanged(std::size_t i) const noexcept { return unchanged_[i] != 0; }
@@ -64,6 +78,7 @@ class FingerprintMemo {
                   const FingerprintMemo& previous);
   std::span<const std::uint64_t> words(StreamId id) const;
 
+  dataplane::WorldGenerations generations_;  // the world's, once built
   std::vector<dataplane::PairEndpoints> pairs_;
   std::vector<std::array<StreamId, dataplane::kPairStreams>> pair_streams_;
   std::unordered_map<dataplane::FingerprintStream, StreamId, StreamHash>

@@ -118,6 +118,8 @@ scenario::VrpInstaller make_vrp_installer(RoundReport* report) {
   return [report](bgp::RoutingSystem& routing, const rpki::VrpSet& prev,
                   rpki::VrpSet next) {
     const VrpDelta delta = VrpDeltaComputer::diff(prev, next);
+    // Nothing to install: leave routing, and so its generation, alone.
+    if (delta.empty()) return;
     const DirtyPrefixTracker tracker(delta);
     const std::size_t touched = tracker.touched_announced(routing);
     std::vector<net::Ipv4Prefix> dirty =
@@ -442,12 +444,14 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   const scenario::AdvanceStats stats =
       publisher_->advance_to(date, make_vrp_installer(&report));
   report.events = stats.events();
+  report.relying_party_skipped = stats.relying_party_skipped;
 
   // The round's epoch: one immutable snapshot of the fully-advanced
   // tracking world (VRPs installed, fault views bound), shared by the
   // discovery pass and every measurement worker below. The previous
   // round's epoch is released here; it dies once its last reader does.
   const snapshot::EpochRef epoch = publisher_->publish();
+  report.epoch_shared = publisher_->last_publish_shared();
 
   // Round health: only fault-injection worlds record it, keeping the
   // store (and everything published from it) byte-identical otherwise.
@@ -494,7 +498,9 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
   // 3. Fingerprint every pair on the tracking world and find dirty rows.
   // The memo computes each distinct word stream once; a pair whose
   // streams all match last round's keeps the fingerprint its cache
-  // entry holds, and only the others are re-hashed.
+  // entry holds, and only the others are re-hashed. A world no mutator
+  // touched since last round's memo keeps that memo, every pair
+  // unchanged.
   scenario::Scenario& tracking = world();
   dataplane::DataPlane& plane = tracking.plane();
   std::vector<dataplane::PairEndpoints> pairs;
@@ -506,7 +512,10 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
                        tnode.address});
     }
   }
-  FingerprintMemo memo(plane, pairs, memo_);
+  report.memo_kept = memo_.current(plane, pairs);
+  FingerprintMemo memo =
+      report.memo_kept ? std::exchange(memo_, FingerprintMemo()).kept()
+                       : FingerprintMemo(plane, pairs, memo_);
 
   const bool cache_usable = cache_.matches(vvps_, tnodes_);
   std::vector<std::uint64_t> fingerprints(pairs.size(), 0);

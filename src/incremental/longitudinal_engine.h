@@ -21,7 +21,9 @@
 //      and address stream is computed once per round and compared word
 //      for word with last round's; a pair whose streams all match keeps
 //      the fingerprint its cache entry holds, every other pair is
-//      re-hashed from the memoized words. The memo is committed with
+//      re-hashed from the memoized words. When no generation of the
+//      tracking world moved and the pairs are last round's, last
+//      round's memo is kept whole instead. The memo is committed with
 //      the cache stores and dropped by restore(),
 //   4. aggregates and records the scores into a LongitudinalStore,
 //   5. appends the round's frame to the series' RVLA archive — the one
@@ -113,6 +115,11 @@ struct RoundReport {
   std::size_t reused_pairs = 0;
   std::size_t rehashed_pairs = 0;    // fingerprints re-hashed; the rest
                                      // were unchanged and kept the cache's
+  // Which generation-keyed reuses the round took (DESIGN.md, "World
+  // generations"); for tests, printed nowhere.
+  bool relying_party_skipped = false;  // RP and VRP install skipped
+  bool epoch_shared = false;           // epoch shares the last one's state
+  bool memo_kept = false;              // last round's memo kept whole
   core::RoundHealth health;          // distribution-chain health (all
                                      // zeros in fault-free worlds)
   core::MeasurementRound round;      // bit-identical to a full recompute

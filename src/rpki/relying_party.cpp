@@ -1,5 +1,7 @@
 #include "rpki/relying_party.h"
 
+#include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include "util/strings.h"
@@ -7,6 +9,14 @@
 namespace rovista::rpki {
 
 namespace {
+
+// Lower `until` to the next date after `today` on which the window
+// [nb, na] opens or closes.
+void note_window(util::Date nb, util::Date na, util::Date today,
+                 util::Date& until) {
+  if (nb > today) until = std::min(until, nb);
+  if (na >= today) until = std::min(until, na + 1);
+}
 
 bool window_ok(util::Date nb, util::Date na, util::Date today,
                RejectReason& why) {
@@ -26,6 +36,8 @@ bool window_ok(util::Date nb, util::Date na, util::Date today,
 ValidationRun run_relying_party(const RepositorySystem& repos,
                                 util::Date today) {
   ValidationRun run;
+  run.stable_until =
+      util::Date(std::numeric_limits<std::int64_t>::max());
 
   for (const Repository* repo : repos.all()) {
     const SimulatedCrypto& crypto = repo->crypto();
@@ -35,6 +47,7 @@ ValidationRun run_relying_party(const RepositorySystem& repos,
     std::unordered_map<std::uint64_t, const Certificate*> accepted;
     for (const Certificate& cert : repo->certificates()) {
       ++run.certificates_checked;
+      note_window(cert.not_before, cert.not_after, today, run.stable_until);
       RejectReason why;
       if (!window_ok(cert.not_before, cert.not_after, today, why)) {
         run.rejected.push_back({"cert " + cert.subject, why});
@@ -67,6 +80,7 @@ ValidationRun run_relying_party(const RepositorySystem& repos,
     // Pass 2: validate ROAs against their accepted signing certificate.
     for (const Roa& roa : repo->roas()) {
       ++run.roas_checked;
+      note_window(roa.not_before, roa.not_after, today, run.stable_until);
       RejectReason why;
       if (!window_ok(roa.not_before, roa.not_after, today, why)) {
         run.rejected.push_back({roa.to_string(), why});

@@ -35,6 +35,13 @@ struct ValidationRun {
   std::size_t certificates_checked = 0;
   std::size_t roas_checked = 0;
   std::vector<RejectedObject> rejected;
+  /// The first date after `today` on which some certificate's or ROA's
+  /// validity window opens (its not_before) or closes (the day after its
+  /// not_after); the far future when none does. Every other input of a
+  /// run is the repositories' content, so while it stays unchanged
+  /// (RepositorySystem::generation) every date in [today, stable_until)
+  /// yields this run's VRPs.
+  util::Date stable_until;
 };
 
 /// Validate everything published in `repos` as of `today`.

@@ -38,6 +38,7 @@ Repository::Repository(topology::Rir rir, std::uint64_t seed,
 std::optional<std::uint64_t> Repository::issue_certificate(
     const std::string& subject, ResourceSet resources, util::Date not_before,
     util::Date not_after) {
+  ++generation_;
   // Trust anchors hold the whole space; refuse only nonsense requests.
   const bool covered = std::all_of(
       resources.prefixes.begin(), resources.prefixes.end(),
@@ -66,6 +67,7 @@ std::optional<std::uint64_t> Repository::issue_certificate(
 bool Repository::publish_roa(std::uint64_t cert_serial, Asn asn,
                              std::vector<RoaPrefix> prefixes,
                              util::Date not_before, util::Date not_after) {
+  ++generation_;
   const auto it = cert_keys_.find(cert_serial);
   if (it == cert_keys_.end()) return false;
   Roa roa;
@@ -81,6 +83,7 @@ bool Repository::publish_roa(std::uint64_t cert_serial, Asn asn,
 
 std::size_t Repository::withdraw_roa(std::uint64_t cert_serial, Asn asn,
                                      const net::Ipv4Prefix& prefix) {
+  ++generation_;
   const std::size_t before = roas_.size();
   roas_.erase(
       std::remove_if(roas_.begin(), roas_.end(),
@@ -124,6 +127,12 @@ Repository& RepositorySystem::repository(topology::Rir rir) noexcept {
 const Repository& RepositorySystem::repository(
     topology::Rir rir) const noexcept {
   return repos_[static_cast<std::size_t>(rir)];
+}
+
+std::uint64_t RepositorySystem::generation() const noexcept {
+  std::uint64_t sum = 0;
+  for (const Repository& r : repos_) sum += r.generation();
+  return sum;
 }
 
 std::vector<const Repository*> RepositorySystem::all() const {

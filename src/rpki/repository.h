@@ -56,6 +56,10 @@ class Repository {
 
   const Certificate* find_certificate(std::uint64_t serial) const noexcept;
 
+  /// Mutation generation: every issue_certificate, publish_roa and
+  /// withdraw_roa call moves it, refused calls included.
+  std::uint64_t generation() const noexcept { return generation_; }
+
  private:
   topology::Rir rir_;
   SimulatedCrypto crypto_;
@@ -66,6 +70,7 @@ class Repository {
   std::vector<Roa> roas_;
   std::uint64_t next_serial_ = 1;
   std::uint64_t key_seed_;
+  std::uint64_t generation_ = 0;
 };
 
 /// The five-RIR repository system.
@@ -78,6 +83,13 @@ class RepositorySystem {
   const Repository& repository(topology::Rir rir) const noexcept;
 
   std::vector<const Repository*> all() const;
+
+  /// Mutation generation of the whole system: the sum of its
+  /// repositories' generations, so it moves whenever any repository's
+  /// content does. Equal generations mean a relying-party run sees the
+  /// same objects (Scenario::advance_to skips re-running it on that,
+  /// DESIGN.md "World generations").
+  std::uint64_t generation() const noexcept;
 
  private:
   std::vector<Repository> repos_;

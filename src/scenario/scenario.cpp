@@ -109,11 +109,18 @@ Scenario::Scenario(ScenarioParams params)
 }
 
 void Scenario::advance_to(Date date) {
-  advance_to(date, [](bgp::RoutingSystem& routing, const rpki::VrpSet&,
-                      rpki::VrpSet next) { routing.set_vrps(std::move(next)); });
+  advance(date,
+          [](bgp::RoutingSystem& routing, const rpki::VrpSet&,
+             rpki::VrpSet next) { routing.set_vrps(std::move(next)); },
+          false);
 }
 
 AdvanceStats Scenario::advance_to(Date date, const VrpInstaller& installer) {
+  return advance(date, installer, true);
+}
+
+AdvanceStats Scenario::advance(Date date, const VrpInstaller& installer,
+                               bool may_skip_rp) {
   assert(date >= current_);
   AdvanceStats stats;
   while (policy_applied_ < policy_events_.size() &&
@@ -141,9 +148,16 @@ AdvanceStats Scenario::advance_to(Date date, const VrpInstaller& installer) {
     ++stats.relationship_events;
   }
   current_ = date;
-  rpki::VrpSet next = rpki::run_relying_party(*repos_, date).vrps;
-  installer(*routing_, vrps_, next);
-  vrps_ = std::move(next);
+  stats.relying_party_skipped = may_skip_rp &&
+                                repos_->generation() == rp_generation_ &&
+                                date < rp_stable_until_;
+  if (!stats.relying_party_skipped) {
+    rpki::ValidationRun run = rpki::run_relying_party(*repos_, date);
+    installer(*routing_, vrps_, run.vrps);
+    vrps_ = std::move(run.vrps);
+    rp_generation_ = repos_->generation();
+    rp_stable_until_ = run.stable_until;
+  }
   if (fault_chain_ != nullptr) {
     // After the install: set_effective_views probes old-view vs new-view
     // against the *new* base, relying on the installer having already

@@ -143,6 +143,10 @@ struct AdvanceStats {
   std::size_t policy_events = 0;
   std::size_t announce_events = 0;
   std::size_t relationship_events = 0;
+  /// The relying party was not re-run: the repositories were unchanged
+  /// and no validity window opened or closed since its last run, so the
+  /// installed VRPs are already this date's.
+  bool relying_party_skipped = false;
 
   std::size_t events() const noexcept {
     return policy_events + announce_events + relationship_events;
@@ -180,11 +184,16 @@ class Scenario {
 
   /// Move the scenario clock to `date`: applies pending policy events and
   /// announcement churn, re-runs the relying party, and refreshes the
-  /// routing system's VRP view.
+  /// routing system's VRP view with set_vrps. Always runs the relying
+  /// party, so a world stepped this way recomputes everything each date.
   void advance_to(Date date);
 
   /// Same, but the new relying-party output is handed to `installer`
-  /// instead of set_vrps. Returns how many timeline events were applied.
+  /// instead of set_vrps, and the relying party and the installer are
+  /// skipped while the repositories' generation is the one of the last
+  /// run and `date` precedes that run's ValidationRun::stable_until:
+  /// its VRPs are then provably this date's too. Returns how many
+  /// timeline events were applied and whether the run was skipped.
   AdvanceStats advance_to(Date date, const VrpInstaller& installer);
 
   /// The relying-party output at the current date.
@@ -308,6 +317,10 @@ class Scenario {
   void build_collector(util::Rng& rng);
   void build_slurm_exceptions(util::Rng& rng);
 
+  /// Both advance_to()s; `may_skip_rp` grants the relying-party skip.
+  AdvanceStats advance(Date date, const VrpInstaller& installer,
+                       bool may_skip_rp);
+
   ScenarioParams params_;
   topology::AsGraph graph_;
   // Address plan: insertion-order index per AS (== asn - first_asn for
@@ -350,6 +363,10 @@ class Scenario {
 
   Date current_;
   rpki::VrpSet vrps_;
+  // The repositories' generation at the last relying-party run, and
+  // that run's stable_until: the skip's key.
+  std::uint64_t rp_generation_ = 0;
+  Date rp_stable_until_;
 
   std::unique_ptr<faults::FaultChain> fault_chain_;  // null when knobs are 0
   faults::DegradationStats degradation_;

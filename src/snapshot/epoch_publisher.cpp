@@ -21,8 +21,15 @@ EpochRef EpochPublisher::publish() {
   // Warm and materialize outside the lock: both touch only the
   // (publisher-private) build world and the new epoch.
   world_->routing().warm();
-  auto epoch =
-      std::make_shared<const EpochWorld>(*world_, seq, live_, digests_);
+  const dataplane::WorldGenerations generations =
+      world_->plane().world_generations();
+  last_shared_ = state_ != nullptr && generations == state_generations_;
+  if (!last_shared_) {
+    state_ = std::make_shared<const FrozenState>(*world_, digests_);
+    state_generations_ = generations;
+  }
+  auto epoch = std::make_shared<const EpochWorld>(state_, world_->current(),
+                                                  seq, live_);
   std::lock_guard<std::mutex> lock(current_mutex_);
   current_ = epoch;  // previous epoch: kept alive only by reader pins
   published_.erase(

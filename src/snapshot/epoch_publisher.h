@@ -18,6 +18,14 @@
 // world and with older epochs, and its digest re-walks only the maps
 // that changed (DigestMemo).
 //
+// Unchanged days share more: when the build world's graph, routing and
+// plane generations (dataplane::WorldGenerations) equal those the last
+// epoch's FrozenState was built at, no mutator has run since, and the
+// new epoch reuses that state — graph copy, frozen routing, template
+// plane and state digest — instead of copying and digesting the world
+// again. Only its sequence number, date and digest are new. Epochs hold
+// the state, not each other, so live_epochs() still counts epochs.
+//
 // Publish ordering contract: everything the new epoch must reflect
 // happens-before the swap (the EpochWorld constructor copies and
 // freezes under the publisher thread), and the mutex acquire/release
@@ -73,9 +81,13 @@ class EpochPublisher {
   }
 
   /// Warm the build world, materialize its current state as a new
-  /// immutable epoch and make it current. Returns a pin on the new
-  /// epoch.
+  /// immutable epoch (sharing the last epoch's FrozenState when no
+  /// generation moved since) and make it current. Returns a pin on the
+  /// new epoch.
   EpochRef publish();
+
+  /// Whether the latest publish() shared the previous epoch's state.
+  bool last_publish_shared() const noexcept { return last_shared_; }
 
   /// Pin the current epoch (any thread). Empty ref if nothing has been
   /// published yet.
@@ -107,6 +119,11 @@ class EpochPublisher {
  private:
   std::unique_ptr<scenario::Scenario> world_;
   DigestMemo digests_;  // publisher-thread only
+  // The latest epoch's frozen state and the build world's generations
+  // it was built at. Publisher-thread only.
+  std::shared_ptr<const FrozenState> state_;
+  dataplane::WorldGenerations state_generations_;
+  bool last_shared_ = false;
   std::shared_ptr<std::atomic<long>> live_;
   std::atomic<std::uint64_t> sequence_{0};
   std::atomic<long> warn_depth_{0};

@@ -75,20 +75,19 @@ std::uint64_t prefix_digest(const bgp::RoutingSystem& routing,
   return mix64(mix64(h ^ routes.size()) ^ entries);
 }
 
-// The epoch digest: the date, the announced prefixes' sub-digests (from
-// `sub`), and the RPKI surface — base VRPs plus the per-AS fault-degraded
-// views, content-fingerprinted, so a fault window flipping one AS's view
-// moves the digest even with a base-VRP delta of exactly zero. Each
-// sub-digest carries its prefix's key, so summing them keeps the digest
-// independent of iteration order.
+// The state digest: the number of announced prefixes, the sum of their
+// sub-digests (from `sub`), and the RPKI surface — base VRPs plus the
+// per-AS fault-degraded views, content-fingerprinted, so a fault window
+// flipping one AS's view moves the digest even with a base-VRP delta of
+// exactly zero. Each sub-digest carries its prefix's key, so summing
+// them keeps the digest independent of iteration order.
 template <typename SubDigest>
-std::uint64_t compose_digest(const bgp::RoutingSystem& routing, Date date,
-                             SubDigest&& sub) {
+std::uint64_t compose_state_digest(const bgp::RoutingSystem& routing,
+                                   SubDigest&& sub) {
   const std::vector<net::Ipv4Prefix> prefixes = routing.all_prefixes();
   std::uint64_t routes = 0;
   for (const net::Ipv4Prefix& prefix : prefixes) routes += sub(prefix);
   Fnv1a h;
-  h.mix(static_cast<std::uint64_t>(date.days_since_epoch()));
   h.mix(prefixes.size());
   h.mix(routes);
   mix_vrp_set(h, routing.vrps());
@@ -97,15 +96,22 @@ std::uint64_t compose_digest(const bgp::RoutingSystem& routing, Date date,
   return h.value();
 }
 
+// The epoch digest: the date, then the state digest.
+std::uint64_t epoch_digest(Date date, std::uint64_t state_digest) {
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(date.days_since_epoch()));
+  h.mix(state_digest);
+  return h.value();
+}
+
 }  // namespace
 
-std::uint64_t DigestMemo::digest(const bgp::RoutingSystem& routing,
-                                 Date date) {
+std::uint64_t DigestMemo::digest(const bgp::RoutingSystem& routing) {
   // Rebuilt every publish, so the memo holds exactly the current maps.
   std::unordered_map<net::Ipv4Prefix, Entry> next;
   next.reserve(entries_.size());
   const std::uint64_t digest =
-      compose_digest(routing, date, [&](const net::Ipv4Prefix& prefix) {
+      compose_state_digest(routing, [&](const net::Ipv4Prefix& prefix) {
         std::shared_ptr<const bgp::RouteMap> routes = routing.route_map(prefix);
         if (routes == nullptr) {
           throw std::logic_error("DigestMemo: " + prefix.to_string() +
@@ -123,16 +129,11 @@ std::uint64_t DigestMemo::digest(const bgp::RoutingSystem& routing,
   return digest;
 }
 
-EpochWorld::EpochWorld(const scenario::Scenario& world, std::uint64_t sequence,
-                       std::shared_ptr<std::atomic<long>> live,
-                       DigestMemo& digests)
-    : sequence_(sequence),
-      date_(world.current()),
-      client_as_a_(world.client_as_a()),
+FrozenState::FrozenState(const scenario::Scenario& world, DigestMemo& digests)
+    : client_as_a_(world.client_as_a()),
       client_as_b_(world.client_as_b()),
       client_addr_a_(world.client_addr_a()),
-      client_addr_b_(world.client_addr_b()),
-      live_(std::move(live)) {
+      client_addr_b_(world.client_addr_b()) {
   // Scenario's accessors are non-const for historical reasons; epoch
   // materialization only reads, so the cast is sound.
   auto& mutable_world = const_cast<scenario::Scenario&>(world);
@@ -141,7 +142,23 @@ EpochWorld::EpochWorld(const scenario::Scenario& world, std::uint64_t sequence,
                                                   *graph_);
   routing_->freeze();
   template_plane_ = mutable_world.plane().clone_fresh(*routing_);
-  digest_ = digests.digest(*routing_, date_);
+  digest_ = digests.digest(*routing_);
+}
+
+std::uint64_t FrozenState::recompute_digest() const {
+  return compose_state_digest(*routing_, [this](const net::Ipv4Prefix& p) {
+    return prefix_digest(*routing_, p, routing_->routes_for(p));
+  });
+}
+
+EpochWorld::EpochWorld(std::shared_ptr<const FrozenState> state, Date date,
+                       std::uint64_t sequence,
+                       std::shared_ptr<std::atomic<long>> live)
+    : state_(std::move(state)),
+      sequence_(sequence),
+      date_(date),
+      digest_(epoch_digest(date, state_->digest())),
+      live_(std::move(live)) {
   if (live_) live_->fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -150,9 +167,7 @@ EpochWorld::~EpochWorld() {
 }
 
 std::uint64_t EpochWorld::recompute_digest() const {
-  return compose_digest(*routing_, date_, [this](const net::Ipv4Prefix& p) {
-    return prefix_digest(*routing_, p, routing_->routes_for(p));
-  });
+  return epoch_digest(date_, state_->recompute_digest());
 }
 
 EpochReader::EpochReader(EpochRef epoch) : epoch_(std::move(epoch)) {

@@ -13,7 +13,8 @@
 //     plane from which each reader stamps out its private host state.
 //     Routes converge in the publisher's build world, and every epoch
 //     shares the build world's immutable per-prefix RouteMaps instead
-//     of copying them,
+//     of copying them. All of it but the date is one FrozenState, which
+//     consecutive epochs share while the build world does not change,
 //   * readers pin an epoch through an EpochRef (refcounted handle),
 //     borrow the shared routing read-only, and own only the genuinely
 //     mutable slice: hosts (IP-ID counters, background RNG), the
@@ -28,7 +29,8 @@
 // Lifecycle contract (see DESIGN.md, "Epoch-snapshot world state"):
 //   pin (EpochRef copy/acquire) → read (any thread, any count) →
 //   release (EpochRef destruction). digest() is computed once at
-//   publish time from memoized per-prefix sub-digests (DigestMemo);
+//   publish time from the date and the state's digest, itself built from
+//   memoized per-prefix sub-digests (DigestMemo);
 //   recompute_digest() walks the live state from scratch and must
 //   return the same value at any point between pin and release,
 //   regardless of how many epochs were published concurrently.
@@ -64,9 +66,10 @@ using util::Date;
 /// shared map in the entry keeps its address from being reused.
 class DigestMemo {
  public:
-  /// The epoch digest of `routing` (every announced prefix converged) on
-  /// `date`; equals EpochWorld::recompute_digest() of that state.
-  std::uint64_t digest(const bgp::RoutingSystem& routing, Date date);
+  /// The state digest of `routing` (every announced prefix converged):
+  /// the epoch digest without its date. Equals
+  /// FrozenState::recompute_digest() of that state.
+  std::uint64_t digest(const bgp::RoutingSystem& routing);
 
  private:
   struct Entry {
@@ -76,46 +79,27 @@ class DigestMemo {
   std::unordered_map<net::Ipv4Prefix, Entry> entries_;
 };
 
-class EpochWorld {
+/// What an epoch freezes of the build world, everything but the date: a
+/// copy of the AS graph, a frozen clone of the routing system bound to
+/// that copy, a pristine template plane over the clone, the measurement
+/// clients, and the digest of that state. Immutable once built. The
+/// publisher shares one among consecutive epochs while no generation of
+/// the build world moves (EpochPublisher::publish).
+class FrozenState {
  public:
-  /// Materialize an immutable epoch from `world`'s current state. The
-  /// epoch owns a copy of the AS graph, a frozen clone of the routing
-  /// system bound to that copy, and a pristine template plane; it shares
-  /// nothing mutable with `world`, which is free to keep evolving (that
-  /// is the whole point). The clone shares `world`'s converged RouteMaps,
-  /// which are immutable; warm `world` first (RoutingSystem::warm) so the
-  /// clone's freeze computes nothing. `live` is the publisher's
-  /// live-epoch counter (may be null for standalone epochs); `digests`
-  /// is the publisher's sub-digest memo.
-  EpochWorld(const scenario::Scenario& world, std::uint64_t sequence,
-             std::shared_ptr<std::atomic<long>> live, DigestMemo& digests);
-  ~EpochWorld();
+  /// Materialize `world`'s current state. Shares nothing mutable with
+  /// `world`, which is free to keep evolving. The routing clone shares
+  /// `world`'s converged RouteMaps, which are immutable; warm `world`
+  /// first (RoutingSystem::warm) so the clone's freeze computes
+  /// nothing. `digests` is the publisher's sub-digest memo.
+  FrozenState(const scenario::Scenario& world, DigestMemo& digests);
 
-  EpochWorld(const EpochWorld&) = delete;
-  EpochWorld& operator=(const EpochWorld&) = delete;
-
-  /// Monotone publish sequence number (1-based).
-  std::uint64_t sequence() const noexcept { return sequence_; }
-  Date date() const noexcept { return date_; }
-
-  /// Digest of the published routing state, computed at publish time.
-  /// An opaque content digest: equal states give equal digests within
-  /// one build, and nothing stores it.
-  std::uint64_t digest() const noexcept { return digest_; }
-
-  /// Recompute the digest from the live frozen state, walking every
-  /// route (the oracle for the memoized digest()). Immutability
-  /// property: equals digest() for the epoch's entire lifetime.
-  std::uint64_t recompute_digest() const;
-
-  /// The shared frozen routing state. Returned non-const because the
-  /// dataplane API threads RoutingSystem& through (demand-cached in
-  /// mutable worlds); on a frozen instance every query is a pure read
-  /// and every mutator throws, so handing the reference to N readers is
-  /// sound. See bgp::RoutingSystem::freeze().
-  bgp::RoutingSystem& shared_routing() const noexcept { return *routing_; }
+  FrozenState(const FrozenState&) = delete;
+  FrozenState& operator=(const FrozenState&) = delete;
 
   const topology::AsGraph& graph() const noexcept { return *graph_; }
+  /// Non-const for the reason EpochWorld::shared_routing() gives.
+  bgp::RoutingSystem& routing() const noexcept { return *routing_; }
   const dataplane::DataPlane& template_plane() const noexcept {
     return *template_plane_;
   }
@@ -125,14 +109,14 @@ class EpochWorld {
   net::Ipv4Address client_addr_a() const noexcept { return client_addr_a_; }
   net::Ipv4Address client_addr_b() const noexcept { return client_addr_b_; }
 
-  /// Current pin count (EpochRefs alive). Diagnostics/tests only.
-  long pins() const noexcept { return pins_.load(std::memory_order_relaxed); }
+  /// Digest of the frozen routing state, memoized at construction.
+  std::uint64_t digest() const noexcept { return digest_; }
+
+  /// The same digest walked from scratch over every route (the oracle
+  /// for the memoized digest()).
+  std::uint64_t recompute_digest() const;
 
  private:
-  friend class EpochRef;
-
-  std::uint64_t sequence_ = 0;
-  Date date_;
   std::unique_ptr<topology::AsGraph> graph_;
   std::unique_ptr<bgp::RoutingSystem> routing_;  // frozen after ctor
   std::unique_ptr<dataplane::DataPlane> template_plane_;
@@ -140,6 +124,71 @@ class EpochWorld {
   topology::Asn client_as_b_ = 0;
   net::Ipv4Address client_addr_a_;
   net::Ipv4Address client_addr_b_;
+  std::uint64_t digest_ = 0;
+};
+
+class EpochWorld {
+ public:
+  /// An immutable epoch of `state` on `date`. `live` is the publisher's
+  /// live-epoch counter (may be null for standalone epochs).
+  EpochWorld(std::shared_ptr<const FrozenState> state, Date date,
+             std::uint64_t sequence, std::shared_ptr<std::atomic<long>> live);
+  ~EpochWorld();
+
+  EpochWorld(const EpochWorld&) = delete;
+  EpochWorld& operator=(const EpochWorld&) = delete;
+
+  /// Monotone publish sequence number (1-based).
+  std::uint64_t sequence() const noexcept { return sequence_; }
+  Date date() const noexcept { return date_; }
+
+  /// Digest of the published state and the date: the date combined with
+  /// the state's memoized digest (FrozenState::digest). An opaque
+  /// content digest: equal states on equal dates give equal digests
+  /// within one build, and nothing stores it.
+  std::uint64_t digest() const noexcept { return digest_; }
+
+  /// Recompute the digest from the live frozen state, walking every
+  /// route (the oracle for the memoized digest()). Immutability
+  /// property: equals digest() for the epoch's entire lifetime.
+  std::uint64_t recompute_digest() const;
+
+  /// The frozen state, shared with every epoch published while the build
+  /// world did not change.
+  const FrozenState& state() const noexcept { return *state_; }
+
+  /// The shared frozen routing state. Returned non-const because the
+  /// dataplane API threads RoutingSystem& through (demand-cached in
+  /// mutable worlds); on a frozen instance every query is a pure read
+  /// and every mutator throws, so handing the reference to N readers is
+  /// sound. See bgp::RoutingSystem::freeze().
+  bgp::RoutingSystem& shared_routing() const noexcept {
+    return state_->routing();
+  }
+
+  const topology::AsGraph& graph() const noexcept { return state_->graph(); }
+  const dataplane::DataPlane& template_plane() const noexcept {
+    return state_->template_plane();
+  }
+
+  topology::Asn client_as_a() const noexcept { return state_->client_as_a(); }
+  topology::Asn client_as_b() const noexcept { return state_->client_as_b(); }
+  net::Ipv4Address client_addr_a() const noexcept {
+    return state_->client_addr_a();
+  }
+  net::Ipv4Address client_addr_b() const noexcept {
+    return state_->client_addr_b();
+  }
+
+  /// Current pin count (EpochRefs alive). Diagnostics/tests only.
+  long pins() const noexcept { return pins_.load(std::memory_order_relaxed); }
+
+ private:
+  friend class EpochRef;
+
+  std::shared_ptr<const FrozenState> state_;
+  std::uint64_t sequence_ = 0;
+  Date date_;
   std::uint64_t digest_ = 0;
   mutable std::atomic<long> pins_{0};
   std::shared_ptr<std::atomic<long>> live_;  // publisher's live-epoch gauge

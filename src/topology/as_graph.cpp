@@ -8,6 +8,7 @@ namespace rovista::topology {
 const std::vector<Asn> AsGraph::kEmpty;
 
 bool AsGraph::add_as(AsInfo info) {
+  ++generation_;
   const Asn asn = info.asn;
   if (nodes_.contains(asn)) return false;
   Node node;
@@ -35,6 +36,7 @@ AsGraph::Node* AsGraph::node(Asn asn) noexcept {
 }
 
 bool AsGraph::add_p2c(Asn provider, Asn customer) {
+  ++generation_;
   if (provider == customer) return false;
   Node* p = node(provider);
   Node* c = node(customer);
@@ -46,6 +48,7 @@ bool AsGraph::add_p2c(Asn provider, Asn customer) {
 }
 
 bool AsGraph::add_p2p(Asn a, Asn b) {
+  ++generation_;
   if (a == b) return false;
   Node* na = node(a);
   Node* nb = node(b);
@@ -57,6 +60,7 @@ bool AsGraph::add_p2p(Asn a, Asn b) {
 }
 
 bool AsGraph::remove_edge(Asn a, Asn b) {
+  ++generation_;
   Node* na = node(a);
   Node* nb = node(b);
   if (na == nullptr || nb == nullptr) return false;
@@ -78,6 +82,7 @@ bool AsGraph::remove_edge(Asn a, Asn b) {
 }
 
 bool AsGraph::set_relationship(Asn a, Asn b, NeighborKind kind_of_b) {
+  ++generation_;
   if (a == b || node(a) == nullptr || node(b) == nullptr) return false;
   remove_edge(a, b);
   switch (kind_of_b) {

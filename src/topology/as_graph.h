@@ -57,6 +57,13 @@ struct Neighbor {
 /// Mutable AS relationship graph.
 class AsGraph {
  public:
+  /// Mutation generation: every call to a mutator below (add_as,
+  /// add_p2c, add_p2p, set_relationship, remove_edge) moves it, refused
+  /// calls included. Equal generations of one graph mean no mutator ran
+  /// in between, so state derived from the graph is still current
+  /// (DESIGN.md, "World generations"). A copy starts at its source's.
+  std::uint64_t generation() const noexcept { return generation_; }
+
   /// Add an AS; returns false if the ASN already exists.
   bool add_as(AsInfo info);
 
@@ -109,6 +116,7 @@ class AsGraph {
 
   std::unordered_map<Asn, Node> nodes_;
   std::vector<Asn> insertion_order_;
+  std::uint64_t generation_ = 0;
   static const std::vector<Asn> kEmpty;
 };
 

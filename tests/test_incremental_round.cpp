@@ -113,24 +113,43 @@ void expect_publishes_oracle_bytes(const test::SeriesOracle& oracle,
   EXPECT_EQ(read_dir(want.path), read_dir(got.path)) << label;
 }
 
+/// How many rounds of a series took each reuse, or did real work.
+struct SeriesCounts {
+  std::size_t discovery_reused = 0;
+  std::size_t relying_party_skipped = 0;
+  std::size_t epoch_shared = 0;
+  std::size_t memo_kept = 0;
+  // Rounds after the first (which applies every event since the
+  // window's start and measures every row):
+  std::size_t event_rounds = 0;  // applied a timeline event
+  std::size_t rerun_rounds = 0;  // re-measured some row
+};
+
 /// Run the same dated series through a runner of `config` and through
 /// the oracle, holding every round to the oracle's, then the published
-/// datasets to each other. Returns how many rounds reused discovery.
-std::size_t expect_series_matches_oracle(
+/// datasets to each other.
+SeriesCounts expect_series_matches_oracle(
     const incremental::IncrementalConfig& config,
     const std::vector<util::Date>& dates, const std::string& label) {
   test::SeriesOracle oracle(config.params, config.rovista);
   incremental::IncrementalLongitudinalRunner runner(config);
-  std::size_t reused = 0;
+  SeriesCounts counts;
   for (const util::Date date : dates) {
     const incremental::RoundReport report = runner.run_round(date);
-    if (report.discovery_reused) ++reused;
+    counts.discovery_reused += report.discovery_reused ? 1 : 0;
+    counts.relying_party_skipped += report.relying_party_skipped ? 1 : 0;
+    counts.epoch_shared += report.epoch_shared ? 1 : 0;
+    counts.memo_kept += report.memo_kept ? 1 : 0;
+    if (runner.completed_rounds() > 1) {
+      counts.event_rounds += report.events > 0 ? 1 : 0;
+      counts.rerun_rounds += report.dirty_rows > 0 ? 1 : 0;
+    }
     const std::string round_label = label + " " + date.to_string();
     expect_bit_identical(oracle.run_round(date).round, report.round,
                          round_label.c_str());
   }
   expect_publishes_oracle_bytes(oracle, runner.store(), label);
-  return reused;
+  return counts;
 }
 
 class IncrementalRound : public ::testing::Test {
@@ -214,21 +233,40 @@ TEST_F(IncrementalRound, PublishedDatasetsAreByteIdentical) {
 
 // `longitudinal --scale small --seed 3 --interval-days 1 --threads 4`
 // with checkpoint and archive writes on, the steady-state daily series:
-// its first 60 rounds must measure and publish the oracle's bytes. The
-// stretch is quiet (no timeline events, a handful of VRP changes), so
-// nearly every round reuses discovery and the whole score cache; the
-// SLURM and faulted six-round series change far more per round and are
-// the comparisons a too-loose reuse rule fails first.
+// two daily stretches of it must measure and publish the oracle's
+// bytes. Days 470-529 (2023-04-08 on) mix both kinds of day. Five ROV
+// enablements land in them, and rows re-run on 2023-04-30 (an
+// enablement), 2023-05-01 (a ROA that dirties a prefix) and 2023-05-22
+// (an enablement). The quiet days between take every reuse: discovery,
+// the relying-party skip, the shared epoch and the kept fingerprint
+// memo. Days 414-421 hold the series' one discovery change: the ROV
+// enablement of 2023-02-15 (day 418) adds two tNodes. So a reuse rule
+// too loose to see an event or a VRP change fails here.
 TEST_F(IncrementalRound, DailySeriesMatchesOracle) {
-  TempDir dir;
-  incremental::IncrementalConfig config = engine_config(4);
-  config.params = testfx::round_params(3);
-  config.checkpoint_dir = (dir.path / "ck").string();
-  config.archive_dir = (dir.path / "archive").string();
-  std::vector<util::Date> dates;
-  for (int day = 0; day < 60; ++day) dates.push_back(config.params.start + day);
-  EXPECT_GT(expect_series_matches_oracle(config, dates, "daily seed 3"), 0u)
-      << "no round reused discovery";
+  const auto daily = [](int first, int last, const char* label) {
+    TempDir dir;
+    incremental::IncrementalConfig config = engine_config(4);
+    config.params = testfx::round_params(3);
+    config.checkpoint_dir = (dir.path / "ck").string();
+    config.archive_dir = (dir.path / "archive").string();
+    std::vector<util::Date> dates;
+    for (int day = first; day <= last; ++day) {
+      dates.push_back(config.params.start + day);
+    }
+    return expect_series_matches_oracle(config, dates, label);
+  };
+  const SeriesCounts counts = daily(470, 529, "daily seed 3");
+  EXPECT_EQ(counts.event_rounds, 5u);
+  EXPECT_EQ(counts.rerun_rounds, 3u);
+  EXPECT_GT(counts.discovery_reused, 0u);
+  EXPECT_GT(counts.relying_party_skipped, 0u);
+  EXPECT_GT(counts.epoch_shared, 0u);
+  EXPECT_GT(counts.memo_kept, 0u);
+
+  const SeriesCounts change = daily(414, 421, "daily seed 3, new tNodes");
+  EXPECT_EQ(change.event_rounds, 1u);
+  EXPECT_EQ(change.rerun_rounds, 1u);
+  EXPECT_GT(change.discovery_reused, 0u);
 }
 
 // ---------- SLURM scenarios ----------
@@ -485,7 +523,10 @@ TEST(DiscoveryOracle, EpochReaderMatchesFreshWorld) {
 // the faulted world's fault views change with no event and no VRP
 // delta: its vVP/tNode lists stay, and only the pairs whose journeys
 // changed may be re-hashed — the round that catches a memo keeping a
-// stale fingerprint.
+// stale fingerprint. Quiet days (+151, +152, +172, +369) keep last
+// round's memo whole; +370 enables ROV at one AS with a VRP delta of
+// zero and the same lists, so only the routing generation tells the
+// memo that some journeys changed.
 
 void expect_cache_holds_fingerprints(
     incremental::IncrementalLongitudinalRunner& runner,
@@ -521,9 +562,11 @@ TEST(FingerprintOracle, MemoMatchesRecompute) {
       {"plain", engine_config(1)},
       {"slurm", slurm_engine_config(1)},
       {"faulted", faulted}};
-  constexpr int kOffsets[] = {150, 150, 151, 152, 171, 172, 215, 246, 247};
+  constexpr int kOffsets[] = {150, 150, 151, 152, 171, 172,
+                             215, 246, 247, 369, 370};
   constexpr std::size_t kRepeated = 1;  // +150 again
   constexpr std::size_t kResumeAt = 4;  // restore, then run +171
+  constexpr std::size_t kPolicy = 10;   // +370: an enablement, no delta
   std::size_t mixed_rounds = 0;  // re-hashed some pairs, kept the others
   for (auto [name, config] : fixtures) {
     TempDir archive;  // restore() resumes the series' archive
@@ -531,7 +574,12 @@ TEST(FingerprintOracle, MemoMatchesRecompute) {
     auto runner =
         std::make_unique<incremental::IncrementalLongitudinalRunner>(config);
     bool partial = false;
-    for (std::size_t i = 0; i < std::size(kOffsets); ++i) {
+    std::size_t kept_memos = 0;
+    // The faulted world measures no pair by +369.
+    const bool faulted_world = std::string(name) == "faulted";
+    const std::size_t rounds =
+        faulted_world ? kPolicy - 1 : std::size(kOffsets);
+    for (std::size_t i = 0; i < rounds; ++i) {
       if (i == kResumeAt) {
         auto resumed =
             std::make_unique<incremental::IncrementalLongitudinalRunner>(
@@ -544,6 +592,17 @@ TEST(FingerprintOracle, MemoMatchesRecompute) {
       const std::string label = std::string(name) + " " + date.to_string();
       ASSERT_GT(report.total_pairs, 0u) << label;
       expect_cache_holds_fingerprints(*runner, label);
+      if (report.memo_kept) {
+        ++kept_memos;
+        EXPECT_EQ(report.rehashed_pairs, 0u) << label;
+      }
+      if (i == kPolicy) {
+        EXPECT_GT(report.events, 0u) << label;
+        EXPECT_EQ(report.vrp_announced + report.vrp_withdrawn, 0u) << label;
+        EXPECT_FALSE(report.memo_kept) << label;
+        EXPECT_GT(report.rehashed_pairs, 0u) << label;
+        EXPECT_LT(report.rehashed_pairs, report.total_pairs) << label;
+      }
       if (i == 0 || i == kResumeAt) {
         EXPECT_EQ(report.rehashed_pairs, report.total_pairs) << label;
       } else if (i == kRepeated) {
@@ -554,6 +613,10 @@ TEST(FingerprintOracle, MemoMatchesRecompute) {
       }
     }
     EXPECT_TRUE(partial) << name << ": no round kept any fingerprint";
+    // Fault views move the routing generation every day.
+    if (!faulted_world) {
+      EXPECT_GT(kept_memos, 0u) << name << ": no round kept its memo";
+    }
   }
   EXPECT_GT(mixed_rounds, 0u) << "no round re-hashed only some pairs";
 }
@@ -647,6 +710,9 @@ TEST_F(IncrementalRound, RepeatedDateReusesEverything) {
   EXPECT_EQ(again.dirty_rows, 0u);
   EXPECT_EQ(again.executed_pairs, 0u);
   EXPECT_EQ(again.reused_pairs, again.total_pairs);
+  EXPECT_TRUE(again.relying_party_skipped);
+  EXPECT_TRUE(again.epoch_shared);
+  EXPECT_TRUE(again.memo_kept);
   expect_bit_identical(first.round, again.round, "repeated date");
 }
 

@@ -110,19 +110,22 @@ void readers_vs_installer(scenario::ScenarioParams params, int publishes) {
     });
   }
 
-  // The installer, concurrent with every reader above: evolve the build
-  // world and publish. Each publish clones the routing state and shares
-  // its route maps with the epoch the readers have pinned — if
-  // publication shared anything mutable with readers, TSan flags it
-  // here.
+  // The installer, concurrent with every reader above. First a publish
+  // with nothing changed: the new epoch shares the frozen state the
+  // readers are using. Then evolve the build world and publish. Each of
+  // those publishes clones the routing state and shares its route maps
+  // with the epoch the readers have pinned — if publication shared
+  // anything mutable with readers, TSan flags it here.
+  pub.publish();
+  EXPECT_TRUE(pub.last_publish_shared());
   for (int p = 1; p <= publishes; ++p) {
     pub.advance_to(date + 20 * p);
     snapshot::EpochRef fresh = pub.publish();
-    EXPECT_EQ(fresh->sequence(), static_cast<std::uint64_t>(p) + 1);
+    EXPECT_EQ(fresh->sequence(), static_cast<std::uint64_t>(p) + 2);
   }
 
   for (std::thread& t : readers) t.join();
-  EXPECT_EQ(pub.published_epochs(), static_cast<std::uint64_t>(publishes) + 1);
+  EXPECT_EQ(pub.published_epochs(), static_cast<std::uint64_t>(publishes) + 2);
 
   // Reclamation: dropping the last pin collapses the chain to just the
   // current epoch.

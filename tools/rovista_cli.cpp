@@ -116,6 +116,23 @@ bool read_u64(const Args& args, const char* flag, std::uint64_t& out) {
   return false;
 }
 
+// The largest thread or worker count, and the largest connection count,
+// a flag accepts: each unit is an OS thread or a socket, and a larger
+// value would also wrap the int it is stored in.
+constexpr std::uint64_t kMaxThreads = 256;
+constexpr std::uint64_t kMaxConnections = 4096;
+
+/// A count in [lo, hi]; outside it, a one-line refusal.
+bool read_count(const Args& args, const char* flag, std::uint64_t& out,
+                std::uint64_t lo, std::uint64_t hi) {
+  if (!read_u64(args, flag, out)) return false;
+  if (out >= lo && out <= hi) return true;
+  std::fprintf(stderr, "error: --%s wants a count in [%llu, %llu], got '%s'\n",
+               flag, static_cast<unsigned long long>(lo),
+               static_cast<unsigned long long>(hi), args.get(flag));
+  return false;
+}
+
 /// --checkpoint-every: a round count the engine's int holds. 0, or a
 /// value above INT_MAX, would write no periodic checkpoint at all.
 bool read_checkpoint_every(const Args& args, int& out) {
@@ -343,7 +360,7 @@ int cmd_measure(const Args& args) {
   util::Date date = util::Date::from_ymd(2023, 9, 12);
   std::uint64_t threads = 0;
   if (!read_u64(args, "seed", seed) || !read_date(args, "date", date) ||
-      !read_u64(args, "threads", threads)) {
+      !read_count(args, "threads", threads, 0, kMaxThreads)) {
     return 2;
   }
   const char* out = args.get("out");
@@ -518,7 +535,7 @@ std::optional<Series> read_series(const Args& args, const char* command) {
   if (!read_u64(args, "seed", config.params.seed) ||
       !read_u64(args, "rounds", series.rounds) ||
       !read_u64(args, "interval-days", series.interval_days) ||
-      !read_u64(args, "threads", threads) ||
+      !read_count(args, "threads", threads, 0, kMaxThreads) ||
       !read_checkpoint_every(args, checkpoint_every)) {
     return std::nullopt;
   }
@@ -935,17 +952,13 @@ int cmd_serve(const Args& args) {
   std::uint64_t workers = 2;
   std::uint64_t warn_depth = 0;
   if (!series.has_value() || !read_u64(args, "port", port) ||
-      !read_u64(args, "workers", workers) ||
+      !read_count(args, "workers", workers, 1, kMaxThreads) ||
       !read_u64(args, "warn-depth", warn_depth)) {
     return 2;
   }
   if (port > 65535) {
     std::fprintf(stderr, "error: --port wants 0..65535, got '%s'\n",
                  args.get("port"));
-    return 2;
-  }
-  if (workers == 0) {
-    std::fprintf(stderr, "error: --workers wants a count >= 1, got '0'\n");
     return 2;
   }
   const incremental::IncrementalConfig& config = series->config;
@@ -1053,8 +1066,8 @@ int cmd_loadgen(const Args& args) {
   std::uint64_t timeout_ms = static_cast<std::uint64_t>(options.timeout_ms);
   if (!read_u64(args, "port", port) ||
       !read_u64(args, "requests", options.requests) ||
-      !read_u64(args, "connections", connections) ||
-      !read_u64(args, "threads", threads) ||
+      !read_count(args, "connections", connections, 0, kMaxConnections) ||
+      !read_count(args, "threads", threads, 0, kMaxThreads) ||
       !read_u64(args, "pipeline", pipeline) ||
       !read_u64(args, "reach-dst", reach_dst) ||
       !read_u64(args, "reach-port", reach_port) ||
